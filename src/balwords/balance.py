@@ -1,8 +1,9 @@
 """Balance predicates and enumeration of balanced binary words.
 
 A word is balanced when any two equal-length factors have ones-counts
-differing by at most 1.  Balance is closed under taking factors, which is
-what makes prefix-pruned enumeration complete.
+differing by at most 1.  The balanced words of one Parikh vector are the
+windows of periodic lower Christoffel words named by the counting
+formula's term list, which is how they are enumerated.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import combinations
 from math import gcd
 
 from .christoffel import lower_christoffel, upper_christoffel
+from .counting import term_ranges
 from .words import Parikh, conjugates, is_lyndon, parikh
 
 
@@ -185,63 +187,24 @@ def in_digital_bar(w: str) -> bool:
 def enumerate_balanced(a: int, b: int) -> list[str]:
     """All balanced words with Parikh vector (a, b), lexicographically sorted.
 
-    Depth-first search over extensions; a prefix that is not balanced is
-    pruned, which is complete because balance is a factorial property.
-    The running min/max ones-count per factor length is updated
-    incrementally with the appended letter and undone on backtrack.
+    Built from the counting decomposition: every such word is a window of
+    length a+b of the periodic lower Christoffel word of a coprime pair
+    (alpha, beta) from the term list, and every window with b ones is
+    balanced.  The windows at the alpha+beta offsets of each pair, united
+    and sorted, are the whole set.  (0, 0) gives the empty word.
     """
-    if a < 0 or b < 0 or (a == 0 and b == 0):
-        raise ValueError("need a,b >= 0 and not both zero")
+    if a < 0 or b < 0:
+        raise ValueError("need a,b >= 0")
+    if a == 0 or b == 0:
+        return ["0" * a + "1" * b]
     n = a + b
-    ones = [0] * (n + 1)
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    word: list[str] = []
-    out: list[str] = []
-
-    def push(c: str) -> list[tuple[int, int, int]] | None:
-        m = len(word) + 1
-        ones[m] = ones[m - 1] + (c == "1")
-        word.append(c)
-        journal: list[tuple[int, int, int]] = []
-        for k in range(1, m + 1):
-            h = ones[m] - ones[m - k]
-            if k == m:
-                journal.append((k, lo[k], hi[k]))
-                lo[k] = hi[k] = h
-            elif h < hi[k] - 1 or h > lo[k] + 1:
-                undo(journal)
-                return None
-            elif h < lo[k]:
-                journal.append((k, lo[k], hi[k]))
-                lo[k] = h
-            elif h > hi[k]:
-                journal.append((k, lo[k], hi[k]))
-                hi[k] = h
-        return journal
-
-    def undo(journal: list[tuple[int, int, int]]) -> None:
-        word.pop()
-        for k, l, h in reversed(journal):
-            lo[k], hi[k] = l, h
-
-    def walk(zeros_used: int, ones_used: int) -> None:
-        if len(word) == n:
-            out.append("".join(word))
-            return
-        for c in "01":
-            if c == "0" and zeros_used == a:
-                continue
-            if c == "1" and ones_used == b:
-                continue
-            journal = push(c)
-            if journal is None:
-                continue
-            walk(zeros_used + (c == "0"), ones_used + (c == "1"))
-            undo(journal)
-
-    walk(0, 0)
-    return out
+    heavy, light = term_ranges(a, b)
+    out: set[str] = set()
+    for alpha, beta in set(heavy + light):
+        m = alpha + beta
+        text = lower_christoffel(alpha, beta) * (n // m + 2)
+        out.update(w for i in range(m) if (w := text[i : i + n]).count("1") == b)
+    return sorted(out)
 
 
 def words_with_parikh(a: int, b: int) -> list[str]:

@@ -211,13 +211,11 @@ def standard_factorization(a: int, b: int) -> Factorization:
     """Split the primitive lower Christoffel word before its least proper suffix.
 
     Both parts are again primitive lower Christoffel words (for 0C1 with
-    C = P01Q the parts are 0Q1 and 0P1).
+    C = P01Q the parts are 0Q1 and 0P1).  The cut falls after b' letters,
+    b' the inverse of b modulo a+b.
     """
-    _require_coprime(a, b)
-    if a + b < 2:
-        raise ValueError("standard factorization requires length >= 2")
+    _, cut = period_inverses(a, b)
     w = lower_christoffel(a, b)
-    cut = min(range(1, len(w)), key=lambda i: w[i:])
     return Factorization(w[:cut], w[cut:], "standard")
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: gen, check, count, enum, render.
 
-Exit codes: 0 success (checked property holds), 1 checked property fails
-or oracle disagreement, 2 invalid input.  All words are read and written
-as strings of '0' and '1'.
+Exit codes: 0 success (checked property holds), 1 checked property fails,
+oracle disagreement or failed internal self-check, 2 invalid input.  All
+words are read and written as strings of '0' and '1'.
 """
 
 from __future__ import annotations
@@ -247,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an internal self-check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text + "\n")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .balance import enumerate_balanced
 from .christoffel import lower_christoffel
 from .words import smallest_period
 
@@ -193,23 +192,25 @@ def brute_heavy_factors(alpha: int, beta: int, n: int) -> set[str]:
     return {u for u in brute_period_factors(alpha, beta, n) if u.count("1") == heavy_ones}
 
 
-def _term_ranges(a: int, b: int):
-    """Index pairs of the two sums: heavy terms over alpha, light over beta.
+def term_ranges(a: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Coprime index pairs of the two sums: heavy terms over alpha, light over beta.
 
     Heavy: 1 <= alpha <= a and (b-1)*alpha/(a+1) < beta <= b*alpha/a.
     Light: 1 <= beta <= b and (a-1)*beta/(b+1) < alpha <= a*beta/b.
-    Bounds are evaluated on integers (strict left, inclusive right).
+    Bounds are evaluated on integers (strict left, inclusive right).  Pairs
+    with a common factor have no factor of minimal period alpha+beta, so
+    they are left out; needs a, b >= 1.
     """
     heavy = []
     for alpha in range(1, a + 1):
         lo = (b - 1) * alpha // (a + 1) + 1
         hi = b * alpha // a
-        heavy.extend((alpha, beta) for beta in range(lo, hi + 1))
+        heavy.extend((alpha, beta) for beta in range(lo, hi + 1) if gcd(alpha, beta) == 1)
     light = []
     for beta in range(1, b + 1):
         lo = (a - 1) * beta // (b + 1) + 1
         hi = a * beta // b
-        light.extend((alpha, beta) for alpha in range(lo, hi + 1))
+        light.extend((alpha, beta) for alpha in range(lo, hi + 1) if gcd(alpha, beta) == 1)
     return heavy, light
 
 
@@ -220,7 +221,7 @@ def count_balanced_report(a: int, b: int) -> CountReport:
     if a == 0 or b == 0:
         return CountReport(a, b, (), 1)
     n = a + b
-    heavy, light = _term_ranges(a, b)
+    heavy, light = term_ranges(a, b)
     terms = []
     for alpha, beta in heavy:
         nv, hv = count_period_factors(alpha, beta, n), count_heavy_factors(alpha, beta, n)
@@ -236,8 +237,71 @@ def count_balanced(a: int, b: int) -> int:
     return count_balanced_report(a, b).total
 
 
+def brute_balanced_words(a: int, b: int) -> list[str]:
+    """Oracle for enumerate_balanced: all balanced words with Parikh vector (a, b), sorted.
+
+    Depth-first search over extensions that never consults the term list;
+    a prefix that is not balanced is pruned, which is complete because
+    balance is a factorial property.  The running min/max ones-count per
+    factor length is updated incrementally with the appended letter and
+    undone on backtrack.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("need a,b >= 0")
+    n = a + b
+    ones = [0] * (n + 1)
+    lo = [0] * (n + 1)
+    hi = [0] * (n + 1)
+    word: list[str] = []
+    out: list[str] = []
+
+    def push(c: str) -> list[tuple[int, int, int]] | None:
+        m = len(word) + 1
+        ones[m] = ones[m - 1] + (c == "1")
+        word.append(c)
+        journal: list[tuple[int, int, int]] = []
+        for k in range(1, m + 1):
+            h = ones[m] - ones[m - k]
+            if k == m:
+                journal.append((k, lo[k], hi[k]))
+                lo[k] = hi[k] = h
+            elif h < hi[k] - 1 or h > lo[k] + 1:
+                undo(journal)
+                return None
+            elif h < lo[k]:
+                journal.append((k, lo[k], hi[k]))
+                lo[k] = h
+            elif h > hi[k]:
+                journal.append((k, lo[k], hi[k]))
+                hi[k] = h
+        return journal
+
+    def undo(journal: list[tuple[int, int, int]]) -> None:
+        word.pop()
+        for k, l, h in reversed(journal):
+            lo[k], hi[k] = l, h
+
+    def walk(zeros_used: int, ones_used: int) -> None:
+        if len(word) == n:
+            out.append("".join(word))
+            return
+        for c in "01":
+            if c == "0" and zeros_used == a:
+                continue
+            if c == "1" and ones_used == b:
+                continue
+            journal = push(c)
+            if journal is None:
+                continue
+            walk(zeros_used + (c == "0"), ones_used + (c == "1"))
+            undo(journal)
+
+    walk(0, 0)
+    return out
+
+
 def brute_count_balanced(a: int, b: int, cap: int = 20) -> int:
     """Oracle for count_balanced via full enumeration; refuses a+b > cap."""
     if a + b > cap:
         raise ValueError(f"a+b={a + b} exceeds the enumeration cap {cap}")
-    return len(enumerate_balanced(a, b))
+    return len(brute_balanced_words(a, b))

@@ -1,9 +1,12 @@
 """Prefixes of lower Christoffel words and the Farey correspondence.
 
 The prefixes of lower Christoffel words (PLC) are exactly the words that
-are both balanced and prefix normal.  Listing the length-n ones in
-lexicographic order and mapping each to ones(root)/|root| of its
-primitive root walks the Farey sequence of order n in increasing order.
+are both balanced and prefix normal.  The length-n ones, in lexicographic
+order, are the length-n prefixes of the powers of the primitive lower
+Christoffel words of the Farey fractions of order n, in increasing order
+(Berstel, Lauve, Reutenauer, Saliola 2008); the word of p/q has root
+ones(root)/|root| = p/q.  The enumeration builds them by walking the
+Farey sequence through the Christoffel tree.
 """
 
 from __future__ import annotations
@@ -53,63 +56,25 @@ def plc_root(v: str) -> str:
 def enumerate_plc(n: int) -> list[PlcEntry]:
     """All length-n prefixes of lower Christoffel words, in lexicographic order.
 
-    Depth-first search pruned by the conjunction balanced-and-prefix-normal,
-    which is closed under taking prefixes; both checks are maintained
-    incrementally on the appended letter.
+    Walks the Farey fractions of order n in increasing order through the
+    Christoffel tree: the root of a mediant (p+r)/(q+s) of neighbours p/q
+    and r/s is the concatenation of their roots, starting from '0' for 0/1
+    and '1' for 1/1.  The stack holds the right neighbours still to come; a
+    mediant whose denominator exceeds n is not in F_n, so the top is next.
+    Each entry's word is the length-n prefix of its root repeated.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    ones = [0] * (n + 1)
-    zeros = [0] * (n + 1)
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    word: list[str] = []
-    out: list[PlcEntry] = []
-
-    def push(c: str) -> list[tuple[int, int, int]] | None:
-        m = len(word) + 1
-        ones[m] = ones[m - 1] + (c == "1")
-        zeros[m] = zeros[m - 1] + (c == "0")
-        word.append(c)
-        journal: list[tuple[int, int, int]] = []
-        for k in range(1, m + 1):
-            h = ones[m] - ones[m - k]
-            if (k - h) > zeros[k]:  # suffix has more zeros than the prefix
-                undo(journal)
-                return None
-            if k == m:
-                journal.append((k, lo[k], hi[k]))
-                lo[k] = hi[k] = h
-            elif h < hi[k] - 1 or h > lo[k] + 1:
-                undo(journal)
-                return None
-            elif h < lo[k]:
-                journal.append((k, lo[k], hi[k]))
-                lo[k] = h
-            elif h > hi[k]:
-                journal.append((k, lo[k], hi[k]))
-                hi[k] = h
-        return journal
-
-    def undo(journal: list[tuple[int, int, int]]) -> None:
-        word.pop()
-        for k, l, h in reversed(journal):
-            lo[k], hi[k] = l, h
-
-    def walk() -> None:
-        if len(word) == n:
-            w = "".join(word)
-            root = plc_root(w)
-            out.append(PlcEntry(w, root, Fraction(root.count("1"), len(root))))
-            return
-        for c in "01":
-            journal = push(c)
-            if journal is None:
-                continue
-            walk()
-            undo(journal)
-
-    walk()
+    out = [PlcEntry("0" * n, "0", Fraction(0))]
+    left_p, left_q, left_root = 0, 1, "0"
+    rights = [(1, 1, "1")]
+    while rights:
+        p, q, root = rights[-1]
+        if left_q + q <= n:
+            rights.append((left_p + p, left_q + q, left_root + root))
+        else:
+            left_p, left_q, left_root = rights.pop()
+            out.append(PlcEntry((root * (n // q + 1))[:n], root, Fraction(p, q)))
     return out
 
 
@@ -137,4 +102,7 @@ def plc_farey_bijection(n: int) -> list[tuple[PlcEntry, Fraction]]:
             raise RuntimeError(
                 f"order mismatch at n={n}: {entry.word} maps to {entry.fraction}, expected {frac}"
             )
+    for prev, entry in zip(entries, entries[1:]):
+        if prev.word >= entry.word:
+            raise RuntimeError(f"order mismatch at n={n}: {prev.word} does not precede {entry.word}")
     return list(zip(entries, fractions))

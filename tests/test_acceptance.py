@@ -96,7 +96,6 @@ def test_criterion_2_count_5_3_with_audit_terms():
     got = {(t.alpha, t.beta, t.kind): (t.n_value, t.h_value, t.contribution) for t in report.terms}
     expected_terms = {
         (2, 1, "heavy"): (3, 2, 2),
-        (4, 2, "heavy"): (0, 0, 0),
         (5, 2, "heavy"): (4, 2, 2),
         (5, 3, "heavy"): (2, 0, 0),
         (3, 2, "light"): (5, 1, 4),

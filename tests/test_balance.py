@@ -23,6 +23,7 @@ from balwords.balance import (
     words_with_parikh,
 )
 from balwords.christoffel import is_central, is_lower_christoffel, lower_christoffel
+from balwords.counting import brute_balanced_words
 from balwords.words import Parikh, conjugates, parikh
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -212,8 +213,9 @@ def test_enumerate_balanced_known_listings():
         "100010",
         "100100",
     ]
+    assert enumerate_balanced(0, 0) == [""]
     with pytest.raises(ValueError):
-        enumerate_balanced(0, 0)
+        enumerate_balanced(-1, 2)
 
 
 def test_enumerate_balanced_matches_filtered_enumeration():
@@ -223,6 +225,13 @@ def test_enumerate_balanced_matches_filtered_enumeration():
                 continue
             expected = [w for w in words_with_parikh(a, b) if naive_is_balanced(w)]
             assert enumerate_balanced(a, b) == expected
+
+
+def test_enumerate_balanced_matches_search_oracle():
+    # The oracle searches all words and never consults the term list.
+    for n in range(0, 23):
+        for a in range(0, n + 1):
+            assert enumerate_balanced(a, n - a) == brute_balanced_words(a, n - a)
 
 
 def test_enumeration_is_sorted_and_starts_at_lower_christoffel():

@@ -178,7 +178,7 @@ def test_standard_factorization_known_values():
 
 
 def test_standard_factorization_properties():
-    for a, b in coprime_pairs(40):
+    for a, b in coprime_pairs(60):
         f = standard_factorization(a, b)
         w = lower_christoffel(a, b)
         assert f.kind == "standard"

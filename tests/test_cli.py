@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -95,7 +96,7 @@ def test_count_plain_and_audit(capsys):
     payload = json.loads(out)
     assert payload["total"] == 12
     heavy = {(t["alpha"], t["beta"]): t["H"] for t in payload["terms"] if t["kind"] == "heavy"}
-    assert heavy == {(2, 1): 2, (4, 2): 0, (5, 2): 2, (5, 3): 0}
+    assert heavy == {(2, 1): 2, (5, 2): 2, (5, 3): 0}
 
 
 def test_count_oracle_flag(capsys):
@@ -120,6 +121,9 @@ def test_enum_commands(capsys):
     ]
     code, out = run(["enum", "mab", "6"], capsys)
     assert out.split() == ["000101", "0011", "010111", "101000", "1100", "111010"]
+    # The empty word is the one balanced word with Parikh vector (0,0), as count 0 0 says.
+    assert run(["enum", "balanced", "0", "0"], capsys) == (0, "\n")
+    assert run(["count", "0", "0"], capsys) == (0, "1\n")
 
 
 def test_enum_json_forms(capsys):
@@ -139,6 +143,17 @@ def test_enum_caps_and_force(capsys):
     assert code == 0
     assert len(out.split()) == 1 + sum(euler_phi(i) for i in range(1, 28))
     assert main(["enum", "balanced", "20", "20"]) == 2
+
+
+def test_internal_check_failure_exits_1(monkeypatch, capsys):
+    from balwords import farey
+
+    monkeypatch.setattr(farey, "farey_sequence", lambda n: [Fraction(0), Fraction(1)])
+    assert main(["enum", "farey", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: size mismatch at n=5")
+    assert "Traceback" not in captured.err
 
 
 def test_identical_invocations_are_byte_identical(capsys):

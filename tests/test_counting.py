@@ -145,6 +145,7 @@ def test_count_balanced_matches_oracle_small_grid():
 def test_brute_count_balanced_cap():
     assert brute_count_balanced(4, 2) == 8
     assert brute_count_balanced(0, 3) == 1
+    assert brute_count_balanced(0, 0) == 1
     with pytest.raises(ValueError):
         brute_count_balanced(15, 15)
 
@@ -154,7 +155,6 @@ def test_report_reproduces_known_expansion():
     assert report.total == 12
     expected = {
         (2, 1, "heavy"): (3, 2, 2),
-        (4, 2, "heavy"): (0, 0, 0),
         (5, 2, "heavy"): (4, 2, 2),
         (5, 3, "heavy"): (2, 0, 0),
         (3, 2, "light"): (5, 1, 4),
@@ -191,6 +191,7 @@ def test_report_terms_partition_the_enumeration():
                 key = (alpha, beta, kind)
                 buckets[key] = buckets.get(key, 0) + 1
             report = count_balanced_report(a, b)
+            assert all(gcd(t.alpha, t.beta) == 1 for t in report.terms)
             nonzero = {
                 (t.alpha, t.beta, t.kind): t.contribution
                 for t in report.terms

@@ -6,8 +6,10 @@ import pytest
 from conftest import all_words, euler_phi
 
 from balwords.balance import is_balanced, is_left_special
-from balwords.christoffel import primitive_lower_christoffel_words
+from balwords.christoffel import lower_christoffel, primitive_lower_christoffel_words
+from balwords import farey
 from balwords.farey import (
+    PlcEntry,
     enumerate_plc,
     farey_sequence,
     is_plc,
@@ -46,9 +48,13 @@ def test_plc_root_known_values():
 
 
 def test_plc_root_well_defined():
-    for n in range(1, 13):
+    for n in range(1, 25):
         for entry in enumerate_plc(n):
             root = entry.root
+            # plc_root searches the word itself; the walk never calls it.
+            assert root == plc_root(entry.word)
+            p, q = entry.fraction.numerator, entry.fraction.denominator
+            assert root == lower_christoffel(q - p, p)
             assert entry.word.startswith(root[: len(entry.word)])
             assert (root * (n // len(root) + 1)).startswith(entry.word)
             assert is_primitive(root)
@@ -103,9 +109,10 @@ def test_farey_sequence_known_listings():
 
 def test_sizes_match_totient_sums():
     total = 1
-    for n in range(1, 51):
+    for n in range(1, 201):
         total += euler_phi(n)
-        assert len(farey_sequence(n)) == total
+        if n <= 50:
+            assert len(farey_sequence(n)) == total
         assert len(enumerate_plc(n)) == total
 
 
@@ -116,6 +123,16 @@ def test_bijection_pairs_known_values():
     assert table["00000"] == Fraction(0, 1)
     assert table["11111"] == Fraction(1, 1)
     assert pairs[4][0].word == "00101" and pairs[4][1] == Fraction(2, 5)
+
+
+def test_bijection_rejects_words_out_of_lexicographic_order(monkeypatch):
+    entries = enumerate_plc(5)
+    first, second = entries[1], entries[2]
+    entries[1] = PlcEntry(second.word, first.root, first.fraction)
+    entries[2] = PlcEntry(first.word, second.root, second.fraction)
+    monkeypatch.setattr(farey, "enumerate_plc", lambda n: entries)
+    with pytest.raises(RuntimeError, match="does not precede"):
+        plc_farey_bijection(5)
 
 
 def test_bijection_preserves_order():
