@@ -75,6 +75,30 @@ def test_check_reports_witness(capsys):
     assert payload["witness"] == {"v": "0", "pos0": 1, "pos1": 4}
 
 
+WITNESS_OUTPUTS = {
+    ("circular", "00101010"): (
+        "circular: no (rotation='10101000', offset=2)",
+        {"rotation": "10101000", "offset": 2},
+    ),
+    ("prefix-normal", "00101001001"): (
+        "prefix-normal: no (factor='00100', position=6, prefix='00101')",
+        {"factor": "00100", "position": 6, "prefix": "00101"},
+    ),
+    ("in-bar", "000011"): (
+        "in-bar: no (prefix_length=3, height=0, allowed=[1, 1])",
+        {"prefix_length": 3, "height": 0, "allowed": [1, 1]},
+    ),
+}
+
+
+@pytest.mark.parametrize("prop,word", sorted(WITNESS_OUTPUTS))
+def test_check_witness_text_and_json(prop, word, capsys):
+    text, witness = WITNESS_OUTPUTS[prop, word]
+    assert run(["check", prop, word], capsys) == (1, text + "\n")
+    payload = {"property": prop, "word": word, "holds": False, "witness": witness}
+    assert run(["check", prop, word, "--json"], capsys) == (1, json.dumps(payload) + "\n")
+
+
 def test_check_various_properties(capsys):
     assert main(["check", "plc", "00101"]) == 0
     assert main(["check", "plc", "00101001001"]) == 1
