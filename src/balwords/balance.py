@@ -1,7 +1,9 @@
 """Balance predicates and enumeration of balanced binary words.
 
 A word is balanced when any two equal-length factors have ones-counts
-differing by at most 1.  The balanced words of one Parikh vector are the
+differing by at most 1.  Each predicate that can fail with a reason is one
+scan returning a frozen witness or None, and the predicate is
+``scan(w) is None``.  The balanced words of one Parikh vector are the
 windows of periodic lower Christoffel words named by the counting
 formula's term list, which is how they are enumerated.
 """
@@ -9,12 +11,10 @@ formula's term list, which is how they are enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 
 from .christoffel import lower_christoffel, upper_christoffel
 from .counting import term_ranges
-from .words import Parikh, conjugates, is_lyndon, parikh
+from .words import Parikh, parikh
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,32 @@ class ImbalanceWitness:
     v: str
     pos0: int
     pos1: int
+
+
+@dataclass(frozen=True)
+class RotationWitness:
+    """An unbalanced rotation w[offset:] + w[:offset] of the witnessed word."""
+
+    rotation: str
+    offset: int
+
+
+@dataclass(frozen=True)
+class PrefixNormalWitness:
+    """A factor at 1-based position with more 0s than the equal-length prefix."""
+
+    factor: str
+    position: int
+    prefix: str
+
+
+@dataclass(frozen=True)
+class BarWitness:
+    """A proper prefix whose height lies outside allowed = [floor, ceil] of k*b/(a+b)."""
+
+    prefix_length: int
+    height: int
+    allowed: list[int]
 
 
 @dataclass(frozen=True)
@@ -45,14 +71,14 @@ def _ones_prefix(w: str) -> list[int]:
     return acc
 
 
-def is_balanced(w: str) -> bool:
-    """Whether every two equal-length factors of w differ by at most one '1'."""
+def _imbalance_length(w: str) -> int | None:
+    """Least k at which two length-k factors of w differ by two ones, if any."""
     n = len(w)
     if n < 2:
-        return True
+        return None
     # 00 and 11 together already violate balance at length 2.
     if "00" in w and "11" in w:
-        return False
+        return 2
     ones = _ones_prefix(w)
     for k in range(2, n):
         lo = hi = ones[k]
@@ -63,41 +89,51 @@ def is_balanced(w: str) -> bool:
             elif h > hi:
                 hi = h
             if hi - lo > 1:
-                return False
-    return True
+                return k
+    return None
+
+
+def is_balanced(w: str) -> bool:
+    """Whether every two equal-length factors of w differ by at most one '1'."""
+    return _imbalance_length(w) is None
 
 
 def unbalance_witness(w: str) -> ImbalanceWitness | None:
     """Shortest palindrome v such that 0v0 and 1v1 both occur in w, if any.
 
-    None exactly when w is balanced.  Ties break on the leftmost 0v0
-    occurrence, then the leftmost 1v1 occurrence.
+    None exactly when w is balanced.  The shortest v has length k-2, k the
+    least length with two factors two ones apart.  Ties break on the
+    leftmost 0v0 occurrence, then the leftmost 1v1 occurrence.
     """
-    n = len(w)
-    for length in range(0, n - 1):
-        first: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        for i in range(n - length - 1):
-            x, y = w[i], w[i + length + 1]
-            if x != y:
-                continue
-            v = w[i + 1 : i + length + 1]
-            if v != v[::-1]:
-                continue
-            seen = first[int(x)]
-            if v not in seen:
-                seen[v] = i
-        common = set(first[0]) & set(first[1])
-        if common:
-            v = min(common, key=lambda s: (first[0][s], first[1][s]))
-            return ImbalanceWitness(v, first[0][v] + 1, first[1][v] + 1)
+    k = _imbalance_length(w)
+    if k is None:
+        return None
+    first: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    for i in range(len(w) - k + 1):
+        x = w[i]
+        if x != w[i + k - 1]:
+            continue
+        v = w[i + 1 : i + k - 1]
+        if v == v[::-1]:
+            first[int(x)].setdefault(v, i)
+    v = min(first[0].keys() & first[1].keys(), key=lambda s: (first[0][s], first[1][s]))
+    return ImbalanceWitness(v, first[0][v] + 1, first[1][v] + 1)
+
+
+def rotation_witness(w: str) -> RotationWitness | None:
+    """The first unbalanced rotation of w, if any; None iff w is circularly balanced."""
+    if not w:
+        raise ValueError("circular balance needs a nonempty word")
+    for offset in range(len(w)):
+        rotation = w[offset:] + w[:offset]
+        if not is_balanced(rotation):
+            return RotationWitness(rotation, offset)
     return None
 
 
 def is_circularly_balanced(w: str) -> bool:
     """Whether every rotation of w is balanced."""
-    if not w:
-        raise ValueError("circular balance needs a nonempty word")
-    return is_balanced(w) and all(is_balanced(u) for u in conjugates(w))
+    return rotation_witness(w) is None
 
 
 def factor_classes(w: str) -> list[FactorClass]:
@@ -151,8 +187,12 @@ def is_strictly_bispecial(v: str) -> bool:
     return all(is_balanced(x + v + y) for x in "01" for y in "01")
 
 
-def is_prefix_normal(w: str) -> bool:
-    """Whether no factor of w has more 0s than the prefix of the same length."""
+def prefix_normal_witness(w: str) -> PrefixNormalWitness | None:
+    """The first factor of w with more 0s than the prefix of its length, if any.
+
+    Factors are scanned by increasing length, then by position; None iff w
+    is prefix-normal.
+    """
     n = len(w)
     zeros = [0]
     for c in w:
@@ -161,16 +201,22 @@ def is_prefix_normal(w: str) -> bool:
         cap = zeros[k]
         for i in range(1, n - k + 1):
             if zeros[i + k] - zeros[i] > cap:
-                return False
-    return True
+                return PrefixNormalWitness(w[i : i + k], i + 1, w[:k])
+    return None
 
 
-def in_digital_bar(w: str) -> bool:
-    """Whether the path of w stays within the Christoffel bar of its endpoint.
+def is_prefix_normal(w: str) -> bool:
+    """Whether no factor of w has more 0s than the prefix of the same length."""
+    return prefix_normal_witness(w) is None
 
-    Each proper prefix must share its Parikh vector with the equal-length
-    prefix of the lower or of the upper Christoffel word of parikh(w);
-    equivalently its height must be floor or ceil of k*b/(a+b).
+
+def bar_witness(w: str) -> BarWitness | None:
+    """The shortest proper prefix of w whose height leaves the bar, if any.
+
+    Each proper prefix of length k must share its Parikh vector with the
+    equal-length prefix of the lower or of the upper Christoffel word of
+    parikh(w); equivalently its height must be floor or ceil of k*b/(a+b).
+    None iff w stays in the bar.
     """
     a, b = parikh(w)
     if a == 0 or b == 0:
@@ -179,9 +225,15 @@ def in_digital_bar(w: str) -> bool:
     h = 0
     for k in range(1, n):
         h += w[k - 1] == "1"
-        if not (b * k) // n <= h <= -((-b * k) // n):
-            return False
-    return True
+        lo, hi = b * k // n, -((-b * k) // n)
+        if not lo <= h <= hi:
+            return BarWitness(k, h, [lo, hi])
+    return None
+
+
+def in_digital_bar(w: str) -> bool:
+    """Whether the path of w stays within the Christoffel bar of its endpoint."""
+    return bar_witness(w) is None
 
 
 def enumerate_balanced(a: int, b: int) -> list[str]:
@@ -205,34 +257,6 @@ def enumerate_balanced(a: int, b: int) -> list[str]:
         text = lower_christoffel(alpha, beta) * (n // m + 2)
         out.update(w for i in range(m) if (w := text[i : i + n]).count("1") == b)
     return sorted(out)
-
-
-def words_with_parikh(a: int, b: int) -> list[str]:
-    """Every word with a zeros and b ones, in lexicographic order."""
-    n = a + b
-    out = []
-    for positions in combinations(range(n), b):
-        letters = ["0"] * n
-        for i in positions:
-            letters[i] = "1"
-        out.append("".join(letters))
-    return sorted(out)
-
-
-def max_balanced_lyndon(a: int, b: int) -> str:
-    """Lexicographically greatest Lyndon word with Parikh vector (a, b).
-
-    Brute force over all words with that Parikh vector; kept deliberately
-    independent of the Christoffel construction it is compared against.
-    """
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a},{b}) must be coprime")
-    best = None
-    for w in words_with_parikh(a, b):
-        if is_lyndon(w) and (best is None or w > best):
-            best = w
-    assert best is not None
-    return best
 
 
 def digital_bar_bounds(a: int, b: int) -> tuple[str, str]:

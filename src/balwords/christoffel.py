@@ -10,40 +10,15 @@ interiors of the primitive ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .words import (
-    Parikh,
     conjugates,
     has_period,
     is_palindrome,
     parikh,
     reversal,
 )
-
-
-@dataclass(frozen=True)
-class Slope:
-    """Direction of a lattice endpoint (a,b): the rational b/a, infinite when a=0."""
-
-    zeros: int
-    ones: int
-
-    def __post_init__(self) -> None:
-        if self.zeros == 0 and self.ones == 0:
-            raise ValueError("slope of the empty endpoint (0,0) is undefined")
-
-    @property
-    def value(self) -> Fraction | None:
-        """Exact slope, or None for the vertical (infinite) direction."""
-        if self.zeros == 0:
-            return None
-        return Fraction(self.ones, self.zeros)
-
-    def __str__(self) -> str:
-        v = self.value
-        return "inf" if v is None else f"{v.numerator}/{v.denominator}"
 
 
 @dataclass(frozen=True)
@@ -116,19 +91,6 @@ def lower_christoffel(a: int, b: int) -> str:
 def upper_christoffel(a: int, b: int) -> str:
     """Upper Christoffel word: the reversal of the lower one."""
     return reversal(lower_christoffel(a, b))
-
-
-def lower_christoffel_arithmetic(a: int, b: int) -> str:
-    """Primitive lower Christoffel word via the sorted-multiples construction.
-
-    Sort the positive multiples of a and of b below a*b, write '1' for each
-    multiple of a and '0' for each multiple of b, then bracket with a
-    leading '0' and a trailing '1'.
-    """
-    _require_coprime(a, b)
-    marks = sorted(range(a, a * b, a)) + sorted(range(b, a * b, b))
-    letters = sorted((m, "1" if m % a == 0 else "0") for m in marks)
-    return "0" + "".join(c for _, c in letters) + "1"
 
 
 def central_word(a: int, b: int) -> str:
@@ -271,7 +233,3 @@ def primitive_lower_christoffel_words(length: int) -> list[str]:
         if gcd(a, length - a) == 1
     ]
 
-
-def slope_of(w: str) -> Slope:
-    pv: Parikh = parikh(w)
-    return Slope(pv.zeros, pv.ones)

@@ -1,13 +1,19 @@
 """Command-line interface: gen, check, count, enum, render.
 
 Exit codes: 0 success (checked property holds), 1 checked property fails,
-oracle disagreement or failed internal self-check, 2 invalid input.  All
-words are read and written as strings of '0' and '1'.
+oracle disagreement or failed internal self-check, 2 invalid input or an
+--output path that cannot be written.  All words are read and written as
+strings of '0' and '1'.
+
+`check balanced|circular|prefix-normal|in-bar` call the balance module's
+witness scan and, when the property fails, print the witness's fields
+(JSON: the "witness" object); the other properties are plain predicates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -99,60 +105,28 @@ def _cmd_gen(args) -> tuple[str, int]:
     return word, 0
 
 
-def _prefix_normal_witness(w: str) -> dict | None:
-    zeros = [0]
-    for c in w:
-        zeros.append(zeros[-1] + (c == "0"))
-    for k in range(1, len(w)):
-        for i in range(1, len(w) - k + 1):
-            if zeros[i + k] - zeros[i] > zeros[k]:
-                return {"factor": w[i : i + k], "position": i + 1, "prefix": w[:k]}
-    return None
-
-
-def _bar_witness(w: str) -> dict | None:
-    a, b = words.parikh(w)
-    n = a + b
-    h = 0
-    for k in range(1, n):
-        h += w[k - 1] == "1"
-        lo, hi = b * k // n, -((-b * k) // n)
-        if not lo <= h <= hi:
-            return {"prefix_length": k, "height": h, "allowed": [lo, hi]}
-    return None
-
-
 def _cmd_check(args) -> tuple[str, int]:
     w = words.check_word(args.word)
+    scans = {
+        "balanced": balance.unbalance_witness,
+        "circular": balance.rotation_witness,
+        "prefix-normal": balance.prefix_normal_witness,
+        "in-bar": balance.bar_witness,
+    }
+    predicates = {
+        "plc": farey.is_plc,
+        "central": christoffel.is_central,
+        "lyndon": words.is_lyndon,
+        "mf": forbidden.is_minimal_forbidden,
+    }
     witness: dict | None = None
-    if args.property == "balanced":
-        found = balance.unbalance_witness(w)
+    if args.property in scans:
+        found = scans[args.property](w)
         holds = found is None
-        if found is not None:
-            witness = {"v": found.v, "pos0": found.pos0, "pos1": found.pos1}
-    elif args.property == "circular":
-        holds = balance.is_circularly_balanced(w)
         if not holds:
-            rot, offset = next(
-                (r, i) for i, r in enumerate(words.conjugates(w)) if not balance.is_balanced(r)
-            )
-            witness = {"rotation": rot, "offset": offset}
-    elif args.property == "prefix-normal":
-        holds = balance.is_prefix_normal(w)
-        if not holds:
-            witness = _prefix_normal_witness(w)
-    elif args.property == "plc":
-        holds = farey.is_plc(w)
-    elif args.property == "central":
-        holds = christoffel.is_central(w)
-    elif args.property == "lyndon":
-        holds = words.is_lyndon(w)
-    elif args.property == "mf":
-        holds = forbidden.is_minimal_forbidden(w)
-    else:  # in-bar
-        holds = balance.in_digital_bar(w)
-        if not holds:
-            witness = _bar_witness(w)
+            witness = dataclasses.asdict(found)
+    else:
+        holds = predicates[args.property](w)
 
     if args.json:
         payload = {"property": args.property, "word": w, "holds": holds, "witness": witness}
@@ -251,8 +225,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

@@ -13,31 +13,9 @@ integer divisions, and range bounds are compared by cross-multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .christoffel import lower_christoffel
-from .words import smallest_period
-
-
-@dataclass(frozen=True)
-class PeriodClassParams:
-    """Derived constants for a coprime pair: inverses mod alpha+beta and the slope ratio."""
-
-    alpha: int
-    beta: int
-    alpha_inv: int
-    beta_inv: int
-    sigma: Fraction
-
-    @classmethod
-    def for_pair(cls, alpha: int, beta: int) -> "PeriodClassParams":
-        if alpha < 1 or beta < 1 or gcd(alpha, beta) != 1:
-            raise ValueError(f"({alpha},{beta}) must be coprime positive integers")
-        m = alpha + beta
-        ai, bi = pow(alpha, -1, m), pow(beta, -1, m)
-        assert ai + bi == m
-        return cls(alpha, beta, ai, bi, Fraction(beta, m))
+from .christoffel import period_inverses
 
 
 @dataclass(frozen=True)
@@ -107,7 +85,7 @@ def count_period_factors(alpha: int, beta: int, n: int) -> int:
     m = alpha + beta
     if gcd(alpha, beta) > 1 or n < m:
         return 0
-    ai, bi = pow(alpha, -1, m), pow(beta, -1, m)
+    ai, bi = period_inverses(alpha, beta)
     if n < m + min(ai, bi):
         return 2 * (n - m + 1)
     if n < m + max(ai, bi):
@@ -138,7 +116,7 @@ def count_heavy_factors(alpha: int, beta: int, n: int) -> int:
     if nn == 0:
         return 0
     m = alpha + beta
-    ai, bi = pow(alpha, -1, m), pow(beta, -1, m)
+    ai, bi = period_inverses(alpha, beta)
 
     def fl(k: int) -> int:
         return beta * k // m
@@ -156,40 +134,6 @@ def count_heavy_factors(alpha: int, beta: int, n: int) -> int:
         s = sum(ce(n - i) + fl(i) for i in range(n - bi + 1))
         return s - fl(n) * nn
     return n * beta % m
-
-
-def periodic_window(alpha: int, beta: int, length: int, offset: int = 0) -> str:
-    """A window of the infinite repetition of the lower Christoffel word."""
-    w = lower_christoffel(alpha, beta)
-    reps = (offset + length) // len(w) + 2
-    return (w * reps)[offset : offset + length]
-
-
-def brute_period_factors(alpha: int, beta: int, n: int) -> set[str]:
-    """Oracle for count_period_factors by direct window enumeration."""
-    if alpha < 1 or beta < 1 or n < 0:
-        raise ValueError("need alpha,beta >= 1 and n >= 0")
-    if n == 0:
-        return set()
-    m = alpha + beta
-    window = periodic_window(alpha, beta, n + 2 * m)
-    return {
-        window[i : i + n]
-        for i in range(len(window) - n + 1)
-        if smallest_period(window[i : i + n]) == m
-    }
-
-
-def brute_heavy_factors(alpha: int, beta: int, n: int) -> set[str]:
-    """Oracle for count_heavy_factors: the period factors with the larger
-    ones-count, when two counts occur."""
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"({alpha},{beta}) must be coprime")
-    m = alpha + beta
-    if beta * n % m == 0:
-        return set()
-    heavy_ones = prefix_height_upper(alpha, beta, n)
-    return {u for u in brute_period_factors(alpha, beta, n) if u.count("1") == heavy_ones}
 
 
 def term_ranges(a: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

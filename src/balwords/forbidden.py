@@ -84,48 +84,3 @@ def enumerate_mab(max_len: int) -> list[str]:
             out.add(w)
             out.add(reversal(w))
     return sorted(out)
-
-
-def enumerate_mab_from_squares(max_len: int) -> list[str]:
-    """Alternative generator: end-swapped squares of primitive Christoffel words."""
-    if max_len < 2:
-        raise ValueError("max_len must be >= 2")
-    out = set()
-    for m in range(2, max_len // 2 + 1):
-        for a in range(1, m):
-            b = m - a
-            if gcd(a, b) != 1:
-                continue
-            for root in (lower_christoffel(a, b), upper_christoffel(a, b)):
-                out.add(_swap_ends(root * 2))
-    return sorted(out)
-
-
-def mab_subset_check(max_len: int) -> bool:
-    """Whether every minimal almost-balanced word up to max_len is minimal forbidden."""
-    mab = enumerate_mab(max_len) if max_len >= 2 else []
-    by_len: dict[int, set[str]] = {}
-    for w in mab:
-        by_len.setdefault(len(w), set()).add(w)
-    for n, group in by_len.items():
-        mf = {m.word for m in enumerate_mf(n)}
-        if not group <= mf:
-            return False
-    return True
-
-
-def imbalance_pairs(w: str) -> list[tuple[str, str]]:
-    """Pairs of distinct equal-length factors whose ones-counts differ by >= 2.
-
-    Exploration helper only; the notion of counting imbalance pairs is not
-    pinned down enough to hang correctness on it.
-    """
-    n = len(w)
-    pairs = []
-    for k in range(2, n + 1):
-        factors = sorted({w[i : i + k] for i in range(n - k + 1)})
-        for i, u in enumerate(factors):
-            for v in factors[i + 1 :]:
-                if abs(u.count("1") - v.count("1")) >= 2:
-                    pairs.append((u, v))
-    return pairs

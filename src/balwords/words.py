@@ -125,12 +125,3 @@ def is_lyndon(w: str) -> bool:
     rots = conjugates(w)
     return w == min(rots) and rots.count(w) == 1
 
-
-def lex_compare(u: str, v: str) -> int:
-    """-1, 0 or 1 for u < v, u = v, u > v in lexicographic order with 0 < 1.
-
-    A proper prefix sorts before its extensions.
-    """
-    if u == v:
-        return 0
-    return -1 if u < v else 1

@@ -12,40 +12,43 @@ import time
 from math import gcd
 from pathlib import Path
 
-from conftest import all_words, euler_phi
+from conftest import (
+    all_words,
+    brute_heavy_factors,
+    brute_period_factors,
+    enumerate_mab_from_squares,
+    euler_phi,
+    lower_christoffel_arithmetic,
+    max_balanced_lyndon,
+    periodic_window,
+)
 
 from balwords.balance import (
     enumerate_balanced,
     in_digital_bar,
     is_balanced,
-    max_balanced_lyndon,
 )
 from balwords.christoffel import (
     christoffel_matrix,
     central_word,
     lower_christoffel,
-    lower_christoffel_arithmetic,
     palindromic_factorization,
     standard_factorization,
     upper_christoffel,
 )
 from balwords.counting import (
     brute_count_balanced,
-    brute_heavy_factors,
-    brute_period_factors,
     count_balanced,
     count_balanced_report,
     count_heavy_factors,
     count_heavy_occurrences,
     count_period_factors,
-    periodic_window,
     prefix_height_lower,
     prefix_height_upper,
 )
 from balwords.farey import enumerate_plc, farey_sequence, plc_farey_bijection
 from balwords.forbidden import (
     enumerate_mab,
-    enumerate_mab_from_squares,
     enumerate_mf,
     is_minimal_forbidden,
 )

@@ -1,13 +1,23 @@
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_words, naive_is_balanced, naive_is_prefix_normal
+from conftest import (
+    all_words,
+    max_balanced_lyndon,
+    naive_is_balanced,
+    naive_is_prefix_normal,
+    naive_unbalance_witness,
+    words_with_parikh,
+)
 
 from balwords.balance import (
     FactorClass,
+    bar_witness,
     enumerate_balanced,
     factor_classes,
     in_digital_bar,
@@ -18,9 +28,9 @@ from balwords.balance import (
     is_prefix_normal,
     is_right_special,
     is_strictly_bispecial,
-    max_balanced_lyndon,
+    prefix_normal_witness,
+    rotation_witness,
     unbalance_witness,
-    words_with_parikh,
 )
 from balwords.christoffel import is_central, is_lower_christoffel, lower_christoffel
 from balwords.counting import brute_balanced_words
@@ -59,12 +69,31 @@ def test_unbalance_witness_known_values():
 def test_unbalance_witness_soundness_exhaustively():
     for w in all_words(14):
         found = unbalance_witness(w)
+        assert found == naive_unbalance_witness(w)
         assert (found is None) == is_balanced(w)
         if found is not None:
             assert found.v == found.v[::-1]
             start0, start1 = found.pos0 - 1, found.pos1 - 1
             assert w[start0 : start0 + len(found.v) + 2] == "0" + found.v + "0"
             assert w[start1 : start1 + len(found.v) + 2] == "1" + found.v + "1"
+
+
+@st.composite
+def flipped_christoffel_conjugates(draw):
+    """A rotated Christoffel word of up to 200 letters with 0-3 letters flipped."""
+    a = draw(st.integers(1, 199))
+    b = draw(st.integers(1, 200 - a))
+    offset = draw(st.integers(0, a + b - 1))
+    word = lower_christoffel(a, b)
+    letters = list(word[offset:] + word[:offset])
+    for i in draw(st.lists(st.integers(0, a + b - 1), max_size=3)):
+        letters[i] = "1" if letters[i] == "0" else "0"
+    return "".join(letters)
+
+
+@given(flipped_christoffel_conjugates())
+def test_unbalance_witness_matches_the_all_lengths_search(w):
+    assert unbalance_witness(w) == naive_unbalance_witness(w)
 
 
 def test_unbalance_witness_prefers_the_shortest_palindrome():
@@ -81,6 +110,16 @@ def test_is_circularly_balanced_known_words():
     assert not is_circularly_balanced("100010")
     with pytest.raises(ValueError):
         is_circularly_balanced("")
+
+
+def test_rotation_witness_is_the_first_unbalanced_rotation():
+    for w in all_words(12, min_len=1):
+        found = rotation_witness(w)
+        assert is_circularly_balanced(w) == (found is None)
+        if found is not None:
+            assert found.rotation == w[found.offset :] + w[: found.offset]
+            assert not naive_is_balanced(found.rotation)
+            assert all(naive_is_balanced(w[i:] + w[:i]) for i in range(found.offset))
 
 
 def test_circular_balance_means_christoffel_conjugate():
@@ -165,6 +204,17 @@ def test_is_prefix_normal_matches_definition_exhaustively():
         assert is_prefix_normal(w) == naive_is_prefix_normal(w)
 
 
+def test_prefix_normal_witness_proves_its_claim():
+    for w in all_words(12):
+        found = prefix_normal_witness(w)
+        assert is_prefix_normal(w) == (found is None)
+        if found is not None:
+            k, start = len(found.factor), found.position - 1
+            assert w[start : start + k] == found.factor
+            assert found.prefix == w[:k]
+            assert found.factor.count("0") > found.prefix.count("0")
+
+
 def test_in_digital_bar_known_cases():
     assert in_digital_bar("00100100101")
     assert not in_digital_bar("000011")
@@ -172,6 +222,24 @@ def test_in_digital_bar_known_cases():
         in_digital_bar("000")
     with pytest.raises(ValueError):
         in_digital_bar("11")
+
+
+def test_bar_witness_is_the_first_prefix_outside_the_bar():
+    for w in all_words(12, min_len=2):
+        a, b = parikh(w)
+        if a == 0 or b == 0:
+            continue
+        found = bar_witness(w)
+        assert in_digital_bar(w) == (found is None)
+        n = a + b
+        for k in range(1, found.prefix_length if found else n):
+            assert math.floor(Fraction(k * b, n)) <= w[:k].count("1") <= math.ceil(Fraction(k * b, n))
+        if found is not None:
+            k = found.prefix_length
+            lo, hi = math.floor(Fraction(k * b, n)), math.ceil(Fraction(k * b, n))
+            assert 1 <= k < n and found.height == w[:k].count("1")
+            assert found.allowed == [lo, hi]
+            assert not lo <= found.height <= hi
 
 
 def test_balanced_words_stay_in_the_bar():

@@ -1,28 +1,22 @@
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import all_words, euler_phi, naive_is_balanced
+from conftest import all_words, euler_phi, lower_christoffel_arithmetic, naive_is_balanced
 
 from balwords.christoffel import (
     CentralPair,
     PowerOfLetter,
-    Slope,
     central_decompose,
     central_word,
     christoffel_matrix,
     is_central,
     is_primitive_lower_christoffel,
     lower_christoffel,
-    lower_christoffel_arithmetic,
     period_inverses,
     palindromic_factorization,
     primitive_lower_christoffel_words,
-    slope_of,
     standard_factorization,
     upper_christoffel,
 )
@@ -247,19 +241,6 @@ def test_primitive_lower_christoffel_census():
         assert len(set(ws)) == euler_phi(n)
         for w in ws:
             assert is_primitive_lower_christoffel(w)
-
-
-@given(st.integers(1, 40), st.integers(1, 40))
-def test_slope_value(a, b):
-    s = slope_of(lower_christoffel(a, b))
-    assert s.value == Fraction(b, a)
-    assert str(s) == f"{b // gcd(a, b)}/{a // gcd(a, b)}"
-    assert str(Slope(0, 3)) == "inf" and Slope(0, 3).value is None
-
-
-def test_slope_rejects_empty_endpoint():
-    with pytest.raises(ValueError):
-        Slope(0, 0)
 
 
 def test_reversal_duality():

@@ -194,6 +194,16 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("target", ["missing/dir/word.txt", "."])
+def test_output_flag_unwritable_path_exits_2(target, tmp_path, capsys):
+    code = main(["gen", "lower", "7", "4", "--output", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "balwords", "count", "5", "3"],

@@ -1,23 +1,21 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import brute_heavy_factors, brute_period_factors, periodic_window
+
 from balwords.balance import enumerate_balanced
+from balwords.christoffel import period_inverses
 from balwords.counting import (
     CountTerm,
-    PeriodClassParams,
     brute_count_balanced,
-    brute_heavy_factors,
-    brute_period_factors,
     count_balanced,
     count_balanced_report,
     count_heavy_factors,
     count_heavy_occurrences,
     count_period_factors,
-    periodic_window,
     prefix_height_lower,
     prefix_height_upper,
 )
@@ -200,18 +198,10 @@ def test_report_terms_partition_the_enumeration():
             assert buckets == nonzero
 
 
-def test_period_class_params():
-    params = PeriodClassParams.for_pair(7, 4)
-    assert (params.alpha_inv, params.beta_inv) == (8, 3)
-    assert params.sigma == Fraction(4, 11)
-    with pytest.raises(ValueError):
-        PeriodClassParams.for_pair(4, 2)
-
-
 def test_inverse_pair_collides_only_for_the_smallest_period():
     for alpha, beta in coprime_pairs(14):
-        p = PeriodClassParams.for_pair(alpha, beta)
-        if p.alpha_inv == p.beta_inv:
+        alpha_inv, beta_inv = period_inverses(alpha, beta)
+        if alpha_inv == beta_inv:
             assert alpha + beta <= 2
 
 

@@ -2,15 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_words, complement, euler_phi
+from conftest import all_words, complement, enumerate_mab_from_squares, euler_phi, mab_subset_check
 
 from balwords.forbidden import (
     enumerate_mab,
-    enumerate_mab_from_squares,
     enumerate_mf,
-    imbalance_pairs,
     is_minimal_forbidden,
-    mab_subset_check,
 )
 from balwords.words import is_lyndon, reversal
 
@@ -100,9 +97,3 @@ def test_mab_words_come_from_squares_only():
     for w in enumerate_mab(16):
         assert len(w) % 2 == 0
         assert is_minimal_forbidden(w)
-
-
-def test_imbalance_pairs_exploration_helper():
-    assert imbalance_pairs("000101") == [("000", "101")]
-    assert len(imbalance_pairs("000100101")) >= 2
-    assert imbalance_pairs("010010") == []

@@ -15,7 +15,6 @@ from balwords.words import (
     is_palindrome,
     is_primitive,
     is_unbordered,
-    lex_compare,
     parikh,
     reversal,
     smallest_period,
@@ -154,16 +153,3 @@ def test_is_lyndon_equals_primitive_strict_minimum():
             w < w[i:] + w[:i] for i in range(1, len(w))
         )
         assert is_lyndon(w) == expected
-
-
-def test_lex_compare():
-    assert lex_compare("00", "01") == -1
-    assert lex_compare("0", "00") == -1  # proper prefix sorts first
-    assert lex_compare("00101", "01010") == -1
-    assert lex_compare("0101", "0101") == 0
-    assert lex_compare("1", "0111") == 1
-
-
-@given(binary_words, binary_words)
-def test_lex_compare_matches_string_order(u, v):
-    assert lex_compare(u, v) == (u > v) - (u < v)
