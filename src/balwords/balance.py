@@ -10,7 +10,7 @@ formula's term list, which is how they are enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .christoffel import lower_christoffel, upper_christoffel
 from .counting import term_ranges
@@ -52,7 +52,7 @@ class BarWitness:
 
     prefix_length: int
     height: int
-    allowed: list[int]
+    allowed: list[int] = field(hash=False)  # a list to print as [lo, hi]; kept out of the hash
 
 
 @dataclass(frozen=True)

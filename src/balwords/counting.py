@@ -8,6 +8,8 @@ heavy height classes, gives the total.
 
 All arithmetic is exact: floors and ceilings of beta*k/(alpha+beta) are
 integer divisions, and range bounds are compared by cross-multiplication.
+The height sums are closed-form floor sums, O(log(alpha+beta)) per term,
+so a count costs one such evaluation per coprime pair of the term list.
 """
 
 from __future__ import annotations
@@ -70,6 +72,62 @@ def prefix_height_upper(alpha: int, beta: int, k: int) -> int:
     return -((-beta * k) // (alpha + beta))
 
 
+def _floor_sum(count: int, m: int, p: int, q: int) -> int:
+    """Sum of (p*i + q) // m over 0 <= i < count, for count, p, q >= 0 and m >= 1.
+
+    Euclid-style reduction in O(log m) steps: take the whole multiples of m
+    out of p and q, then count the lattice points under the line with the
+    roles of m and p swapped.
+    """
+    total = 0
+    while True:
+        if p >= m:
+            total += count * (count - 1) // 2 * (p // m)
+            p %= m
+        if q >= m:
+            total += count * (q // m)
+            q %= m
+        top = p * count + q
+        if top < m:
+            return total
+        count, q = divmod(top, m)
+        m, p = p, m
+
+
+def _period_term(alpha: int, beta: int, n: int) -> tuple[int, int]:
+    """(N, H): the length-n factors of minimal period alpha+beta and the heavy ones.
+
+    Both come from one pair of inverses alpha', beta' mod alpha+beta.  Below
+    the periodic regime H is a height sum: the summed floor and ceiling
+    heights of the qualifying factors minus floor(n*beta/(alpha+beta)) per
+    factor.  Each height sum over a run of consecutive k is one closed-form
+    floor sum, ceil(beta*k/m) being (beta*k + m - 1) // m.
+    """
+    if alpha < 1 or beta < 1 or n < 0:
+        raise ValueError("need alpha,beta >= 1 and n >= 0")
+    m = alpha + beta
+    if gcd(alpha, beta) > 1 or n < m:
+        return 0, 0
+    ai, bi = period_inverses(alpha, beta)
+    floor_n = beta * n // m
+    if n < m + min(ai, bi):
+        # sum of ceil heights over k = m..n plus floor heights over k = 0..n-m
+        span = n - m + 1
+        s = _floor_sum(span, m, beta, beta * m + m - 1) + _floor_sum(span, m, beta, 0)
+        nn = 2 * span
+        return nn, 2 * s - floor_n * nn
+    if n < m + max(ai, bi):
+        nn = n - max(ai, bi) + 1
+        if bi < ai:
+            # floor heights over k = alpha'..n plus ceil heights over k = 0..n-alpha'
+            s = _floor_sum(nn, m, beta, beta * ai) + _floor_sum(nn, m, beta, m - 1)
+        else:
+            # ceil heights over k = beta'..n plus floor heights over k = 0..n-beta'
+            s = _floor_sum(nn, m, beta, beta * bi + m - 1) + _floor_sum(nn, m, beta, 0)
+        return nn, s - floor_n * nn
+    return m, n * beta % m
+
+
 def count_period_factors(alpha: int, beta: int, n: int) -> int:
     """Number of length-n factors of the periodic word of slope beta/alpha
     whose minimal period is exactly alpha+beta.
@@ -80,17 +138,7 @@ def count_period_factors(alpha: int, beta: int, n: int) -> int:
     n-max(alpha',beta')+1 up to alpha+beta+max(alpha',beta'), then the
     full count alpha+beta.
     """
-    if alpha < 1 or beta < 1 or n < 0:
-        raise ValueError("need alpha,beta >= 1 and n >= 0")
-    m = alpha + beta
-    if gcd(alpha, beta) > 1 or n < m:
-        return 0
-    ai, bi = period_inverses(alpha, beta)
-    if n < m + min(ai, bi):
-        return 2 * (n - m + 1)
-    if n < m + max(ai, bi):
-        return n - max(ai, bi) + 1
-    return m
+    return _period_term(alpha, beta, n)[0]
 
 
 def count_heavy_occurrences(alpha: int, beta: int, n: int) -> int:
@@ -109,31 +157,11 @@ def count_heavy_factors(alpha: int, beta: int, n: int) -> int:
     Outside the periodic regime the count is a height sum: total heights
     of the qualifying factors minus floor(sigma*n) per factor, where
     sigma = beta/(alpha+beta).  The summation limits depend on where
-    n-alpha-beta falls relative to the inverses alpha', beta'; for large n
-    the count stabilizes at n*beta mod (alpha+beta).
+    n-alpha-beta falls relative to the inverses alpha', beta'; each sum of
+    floor or ceiling heights is a closed-form floor sum, O(log(alpha+beta))
+    per term.  For large n the count stabilizes at n*beta mod (alpha+beta).
     """
-    nn = count_period_factors(alpha, beta, n)
-    if nn == 0:
-        return 0
-    m = alpha + beta
-    ai, bi = period_inverses(alpha, beta)
-
-    def fl(k: int) -> int:
-        return beta * k // m
-
-    def ce(k: int) -> int:
-        return -((-beta * k) // m)
-
-    if n < m + min(ai, bi):
-        s = sum(ce(n - i) + fl(i) for i in range(n - m + 1))
-        return 2 * s - fl(n) * nn
-    if m + bi <= n < m + ai:
-        s = sum(fl(n - i) + ce(i) for i in range(n - ai + 1))
-        return s - fl(n) * nn
-    if m + ai <= n < m + bi:
-        s = sum(ce(n - i) + fl(i) for i in range(n - bi + 1))
-        return s - fl(n) * nn
-    return n * beta % m
+    return _period_term(alpha, beta, n)[1]
 
 
 def term_ranges(a: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -168,10 +196,10 @@ def count_balanced_report(a: int, b: int) -> CountReport:
     heavy, light = term_ranges(a, b)
     terms = []
     for alpha, beta in heavy:
-        nv, hv = count_period_factors(alpha, beta, n), count_heavy_factors(alpha, beta, n)
+        nv, hv = _period_term(alpha, beta, n)
         terms.append(CountTerm(alpha, beta, "heavy", nv, hv, hv))
     for alpha, beta in light:
-        nv, hv = count_period_factors(alpha, beta, n), count_heavy_factors(alpha, beta, n)
+        nv, hv = _period_term(alpha, beta, n)
         terms.append(CountTerm(alpha, beta, "light", nv, hv, nv - hv))
     return CountReport(a, b, tuple(terms), sum(t.contribution for t in terms))
 

@@ -13,8 +13,8 @@ from itertools import combinations
 from math import gcd
 
 from balwords.balance import ImbalanceWitness
-from balwords.christoffel import lower_christoffel, upper_christoffel
-from balwords.counting import prefix_height_upper
+from balwords.christoffel import lower_christoffel, period_inverses, upper_christoffel
+from balwords.counting import count_period_factors, prefix_height_upper
 from balwords.forbidden import enumerate_mab, enumerate_mf
 from balwords.words import is_lyndon, smallest_period
 
@@ -170,6 +170,32 @@ def brute_heavy_factors(alpha: int, beta: int, n: int) -> set[str]:
         return set()
     heavy_ones = prefix_height_upper(alpha, beta, n)
     return {u for u in brute_period_factors(alpha, beta, n) if u.count("1") == heavy_ones}
+
+
+def naive_heavy_factors(alpha: int, beta: int, n: int) -> int:
+    """Oracle for count_heavy_factors: its height sums taken term by term."""
+    nn = count_period_factors(alpha, beta, n)
+    if nn == 0:
+        return 0
+    m = alpha + beta
+    ai, bi = period_inverses(alpha, beta)
+
+    def fl(k: int) -> int:
+        return beta * k // m
+
+    def ce(k: int) -> int:
+        return -((-beta * k) // m)
+
+    if n < m + min(ai, bi):
+        s = sum(ce(n - i) + fl(i) for i in range(n - m + 1))
+        return 2 * s - fl(n) * nn
+    if m + bi <= n < m + ai:
+        s = sum(fl(n - i) + ce(i) for i in range(n - ai + 1))
+        return s - fl(n) * nn
+    if m + ai <= n < m + bi:
+        s = sum(ce(n - i) + fl(i) for i in range(n - bi + 1))
+        return s - fl(n) * nn
+    return n * beta % m
 
 
 def enumerate_mab_from_squares(max_len: int) -> list[str]:

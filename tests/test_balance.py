@@ -242,6 +242,20 @@ def test_bar_witness_is_the_first_prefix_outside_the_bar():
             assert not lo <= found.height <= hi
 
 
+def test_every_witness_type_hashes_consistently_with_equality():
+    for scan, word, other in [
+        (unbalance_witness, "000101", "0011"),
+        (rotation_witness, "0011", "000111"),
+        (prefix_normal_witness, "1100", "1010"),
+        (bar_witness, "000011", "110000"),
+    ]:
+        found = scan(word)
+        again = scan(word)
+        assert found is not None and found is not again
+        assert found == again and hash(found) == hash(again)
+        assert len({found, again, scan(other)}) == 2
+
+
 def test_balanced_words_stay_in_the_bar():
     for a in range(1, 9):
         for b in range(1, 9):

@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_heavy_factors, brute_period_factors, periodic_window
+from conftest import (
+    brute_heavy_factors,
+    brute_period_factors,
+    euler_phi,
+    naive_heavy_factors,
+    periodic_window,
+)
 
 from balwords.balance import enumerate_balanced
 from balwords.christoffel import period_inverses
 from balwords.counting import (
     CountTerm,
+    _floor_sum,
     brute_count_balanced,
     count_balanced,
     count_balanced_report,
@@ -116,6 +123,34 @@ def test_formulas_match_brute_enumeration_on_a_grid():
             assert heavy_set <= period_set
 
 
+def test_floor_sum_matches_the_direct_sum():
+    for count in range(0, 10):
+        for m in range(1, 9):
+            for p in range(0, 20):
+                for q in range(0, 20):
+                    expected = sum((p * i + q) // m for i in range(count))
+                    assert _floor_sum(count, m, p, q) == expected
+
+
+@given(
+    st.integers(0, 300), st.integers(1, 10**6), st.integers(0, 10**7), st.integers(0, 10**7)
+)
+def test_floor_sum_matches_the_direct_sum_on_large_arguments(count, m, p, q):
+    assert _floor_sum(count, m, p, q) == sum((p * i + q) // m for i in range(count))
+
+
+def test_count_heavy_factors_matches_the_term_by_term_sums_exhaustively():
+    # n up to 3(alpha+beta)+4 reaches all four regimes of the height sums
+    for alpha, beta in coprime_pairs(40):
+        for n in range(0, 3 * (alpha + beta) + 5):
+            assert count_heavy_factors(alpha, beta, n) == naive_heavy_factors(alpha, beta, n)
+
+
+@given(st.integers(1, 2000), st.integers(1, 2000), st.integers(0, 6000))
+def test_count_heavy_factors_matches_the_term_by_term_sums(alpha, beta, n):
+    assert count_heavy_factors(alpha, beta, n) == naive_heavy_factors(alpha, beta, n)
+
+
 def test_heavy_never_exceeds_period_count():
     for alpha, beta in coprime_pairs(12):
         for n in range(0, 40):
@@ -138,6 +173,16 @@ def test_count_balanced_matches_oracle_small_grid():
             if a + b > 11 or (a == 0 and b == 0):
                 continue
             assert count_balanced(a, b) == brute_count_balanced(a, b)
+
+
+@pytest.mark.parametrize("n", [101, 240, 397])
+def test_length_n_totals_match_mignosi_and_mirror(n):
+    # Mignosi 1991: sum over a+b=n of count_balanced(a, b) = 1 + sum (n-k+1) phi(k).
+    # The total alone misses a term moved between the heavy and light sums,
+    # so each count is also checked against its mirror count(n-a, a).
+    counts = [count_balanced(a, n - a) for a in range(0, n + 1)]
+    assert counts == counts[::-1]
+    assert sum(counts) == 1 + sum((n - k + 1) * euler_phi(k) for k in range(1, n + 1))
 
 
 def test_brute_count_balanced_cap():
