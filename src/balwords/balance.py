@@ -6,6 +6,14 @@ scan returning a frozen witness or None, and the predicate is
 ``scan(w) is None``.  The balanced words of one Parikh vector are the
 windows of periodic lower Christoffel words named by the counting
 formula's term list, which is how they are enumerated.
+
+Two properties have a linear test through Christoffel words, and their
+quadratic witness scans run only once a word is known to fail it.  A word
+is circularly balanced iff it occurs in c + c, c the (possibly
+non-primitive) lower Christoffel word of its Parikh vector.  A word is a
+prefix of a lower Christoffel word iff the slopes r with h_i = floor(i*r)
+for every prefix height h_i form a nonempty interval, which one pass over
+the prefixes decides; such a word is prefix normal.
 """
 
 from __future__ import annotations
@@ -121,9 +129,17 @@ def unbalance_witness(w: str) -> ImbalanceWitness | None:
 
 
 def rotation_witness(w: str) -> RotationWitness | None:
-    """The first unbalanced rotation of w, if any; None iff w is circularly balanced."""
+    """The first unbalanced rotation of w, if any; None iff w is circularly balanced.
+
+    w is circularly balanced iff it is a conjugate of the lower Christoffel
+    word c of its own Parikh vector, that is iff w occurs in c + c.  Only a
+    word that fails this test has its rotations scanned for the witness.
+    """
     if not w:
         raise ValueError("circular balance needs a nonempty word")
+    c = lower_christoffel(*parikh(w))
+    if w in c + c:
+        return None
     for offset in range(len(w)):
         rotation = w[offset:] + w[:offset]
         if not is_balanced(rotation):
@@ -187,12 +203,39 @@ def is_strictly_bispecial(v: str) -> bool:
     return all(is_balanced(x + v + y) for x in "01" for y in "01")
 
 
+def is_christoffel_prefix(w: str) -> bool:
+    """Whether w is a prefix of a (possibly non-primitive) lower Christoffel word.
+
+    With h_i the number of ones in the length-i prefix, w is such a prefix
+    iff some slope r has h_i = floor(i*r) for every i, that is iff
+    max h_i/i < min (h_i+1)/i over 1 <= i <= |w|.  One pass keeps both
+    extremes as fractions and compares them by cross-multiplication.  These
+    are the words that are both balanced and prefix normal.
+    """
+    lo_num, lo_den = 0, 1  # max h_i/i so far
+    hi_num, hi_den = 1, 0  # min (h_i+1)/i so far, starting at infinity
+    h = 0
+    for i, c in enumerate(w, 1):
+        if c == "1":
+            h += 1
+        if h * lo_den > lo_num * i:
+            lo_num, lo_den = h, i
+        if (h + 1) * hi_den < hi_num * i:
+            hi_num, hi_den = h + 1, i
+        if lo_num * hi_den >= hi_num * lo_den:
+            return False
+    return True
+
+
 def prefix_normal_witness(w: str) -> PrefixNormalWitness | None:
     """The first factor of w with more 0s than the prefix of its length, if any.
 
     Factors are scanned by increasing length, then by position; None iff w
-    is prefix-normal.
+    is prefix-normal.  Every prefix of a lower Christoffel word is prefix
+    normal, so such a word is accepted by the linear test without a scan.
     """
+    if is_christoffel_prefix(w):
+        return None
     n = len(w)
     zeros = [0]
     for c in w:

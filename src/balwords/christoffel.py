@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import (
-    has_period,
-    is_palindrome,
-    parikh,
-    reversal,
-)
+from .words import is_palindrome, parikh, periods, reversal
 
 
 @dataclass(frozen=True)
@@ -104,14 +99,15 @@ def is_central(w: str) -> bool:
     """True iff w has coprime periods p, q with p + q = |w| + 2.
 
     Periods >= |w| count vacuously, so the empty word (p=q=1) and letter
-    powers qualify.
+    powers qualify.  The periods below |w| come from one border chain.
     """
     n = len(w)
     if n == 0:
         return True
+    found = set(periods(w))
     for p in range(1, n // 2 + 2):
         q = n + 2 - p
-        if gcd(p, q) == 1 and has_period(w, p) and has_period(w, q):
+        if gcd(p, q) == 1 and (p >= n or p in found) and (q >= n or q in found):
             return True
     return False
 

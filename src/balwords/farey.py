@@ -1,7 +1,10 @@
 """Prefixes of lower Christoffel words and the Farey correspondence.
 
 The prefixes of lower Christoffel words (PLC) are exactly the words that
-are both balanced and prefix normal.  The length-n ones, in lexicographic
+are both balanced and prefix normal.  ``is_plc`` decides this in one pass:
+w is PLC iff max h_i/i < min (h_i+1)/i over its prefix heights h_i, that
+is iff some slope r has h_i = floor(i*r) for every prefix
+(``balance.is_christoffel_prefix``).  The length-n ones, in lexicographic
 order, are the length-n prefixes of the powers of the primitive lower
 Christoffel words of the Farey fractions of order n, in increasing order
 (Berstel, Lauve, Reutenauer, Saliola 2008); the word of p/q has root
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .balance import is_balanced, is_prefix_normal
+from .balance import is_christoffel_prefix
 from .christoffel import lower_christoffel
 from .words import parikh
 
@@ -31,7 +34,7 @@ def is_plc(w: str) -> bool:
     """Whether w is a prefix of some lower Christoffel word."""
     if not w:
         raise ValueError("the empty word is not classified")
-    return is_balanced(w) and is_prefix_normal(w)
+    return is_christoffel_prefix(w)
 
 
 def plc_root(v: str) -> str:

@@ -59,14 +59,34 @@ def factors_of_length(w: str, k: int) -> set[str]:
     return {w[i : i + k] for i in range(len(w) - k + 1)}
 
 
-def smallest_period(w: str) -> int:
-    """Least p >= 1 with w[i] = w[i+p] for all valid i; |w| iff unbordered."""
+def periods(w: str) -> list[int]:
+    """Every period p of w with 1 <= p <= |w|, increasing.
+
+    The periods are |w| minus the borders of w, read off the KMP failure
+    function's border chain in O(|w|).
+    """
     _require_nonempty(w)
     n = len(w)
-    for p in range(1, n):
-        if w[: n - p] == w[p:]:
-            return p
-    return n
+    border = [0] * (n + 1)  # border[i]: length of the longest border of w[:i]
+    k = 0
+    for i in range(1, n):
+        while k and w[i] != w[k]:
+            k = border[k]
+        if w[i] == w[k]:
+            k += 1
+        border[i + 1] = k
+    out = []
+    k = border[n]
+    while k:
+        out.append(n - k)
+        k = border[k]
+    out.append(n)
+    return out
+
+
+def smallest_period(w: str) -> int:
+    """Least p >= 1 with w[i] = w[i+p] for all valid i; |w| iff unbordered."""
+    return periods(w)[0]
 
 
 def has_period(w: str, p: int) -> bool:
@@ -120,8 +140,10 @@ def two_palindrome_splits(w: str) -> list[int]:
 
 
 def is_lyndon(w: str) -> bool:
-    """True iff w is primitive and strictly minimal among its rotations (0 < 1)."""
+    """True iff w is primitive and strictly minimal among its rotations (0 < 1).
+
+    Equivalently, w is strictly smaller than each of its proper suffixes.
+    """
     _require_nonempty(w)
-    rots = conjugates(w)
-    return w == min(rots) and rots.count(w) == 1
+    return all(w < w[i:] for i in range(1, len(w)))
 

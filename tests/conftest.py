@@ -12,11 +12,11 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from balwords.balance import ImbalanceWitness
+from balwords.balance import ImbalanceWitness, PrefixNormalWitness, RotationWitness, is_balanced
 from balwords.christoffel import lower_christoffel, period_inverses, upper_christoffel
 from balwords.counting import count_period_factors, prefix_height_upper
 from balwords.forbidden import enumerate_mab, enumerate_mf
-from balwords.words import is_lyndon, smallest_period
+from balwords.words import conjugates, has_period, is_lyndon, smallest_period
 
 
 def all_words(max_len: int, min_len: int = 0):
@@ -55,6 +55,51 @@ def naive_is_prefix_normal(w: str) -> bool:
         if any(w[i : i + k].count("0") > prefix_zeros for i in range(n - k + 1)):
             return False
     return True
+
+
+def naive_is_plc(w: str) -> bool:
+    """Prefix of a lower Christoffel word: balanced and prefix normal."""
+    return naive_is_balanced(w) and naive_is_prefix_normal(w)
+
+
+def naive_rotation_witness(w: str) -> RotationWitness | None:
+    """The first unbalanced rotation of w, trying every rotation in order."""
+    for offset in range(len(w)):
+        rotation = w[offset:] + w[:offset]
+        if not is_balanced(rotation):
+            return RotationWitness(rotation, offset)
+    return None
+
+
+def naive_prefix_normal_witness(w: str) -> PrefixNormalWitness | None:
+    """The first factor with more 0s than the equal-length prefix, by length then position."""
+    n = len(w)
+    zeros = [0]
+    for c in w:
+        zeros.append(zeros[-1] + (c == "0"))
+    for k in range(1, n):
+        for i in range(1, n - k + 1):
+            if zeros[i + k] - zeros[i] > zeros[k]:
+                return PrefixNormalWitness(w[i : i + k], i + 1, w[:k])
+    return None
+
+
+def naive_is_central(w: str) -> bool:
+    """Coprime periods p, q with p + q = |w| + 2, each tested on its own."""
+    n = len(w)
+    if n == 0:
+        return True
+    for p in range(1, n // 2 + 2):
+        q = n + 2 - p
+        if gcd(p, q) == 1 and has_period(w, p) and has_period(w, q):
+            return True
+    return False
+
+
+def naive_is_lyndon(w: str) -> bool:
+    """Primitive and strictly least among its rotations, over all conjugates."""
+    rots = conjugates(w)
+    return w == min(rots) and rots.count(w) == 1
 
 
 def is_conjugate_of_reversal(w: str) -> bool:

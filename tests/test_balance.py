@@ -3,14 +3,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     all_words,
     max_balanced_lyndon,
     naive_is_balanced,
+    naive_is_plc,
     naive_is_prefix_normal,
+    naive_prefix_normal_witness,
+    naive_rotation_witness,
     naive_unbalance_witness,
     words_with_parikh,
 )
@@ -23,6 +26,7 @@ from balwords.balance import (
     in_digital_bar,
     is_balanced,
     is_bispecial,
+    is_christoffel_prefix,
     is_circularly_balanced,
     is_left_special,
     is_prefix_normal,
@@ -79,19 +83,25 @@ def test_unbalance_witness_soundness_exhaustively():
 
 
 @st.composite
-def flipped_christoffel_conjugates(draw):
-    """A rotated Christoffel word of up to 200 letters with 0-3 letters flipped."""
-    a = draw(st.integers(1, 199))
-    b = draw(st.integers(1, 200 - a))
-    offset = draw(st.integers(0, a + b - 1))
+def flipped_christoffel_words(draw, max_len):
+    """A rotation or a prefix of a Christoffel word of up to max_len letters,
+    with 0-3 letters flipped."""
+    a = draw(st.integers(0, max_len - 1))
+    b = draw(st.integers(1 if a == 0 else 0, max_len - a))
     word = lower_christoffel(a, b)
-    letters = list(word[offset:] + word[:offset])
-    for i in draw(st.lists(st.integers(0, a + b - 1), max_size=3)):
+    n = len(word)
+    if draw(st.booleans()):
+        offset = draw(st.integers(0, n - 1))
+        word = word[offset:] + word[:offset]
+    else:
+        word = word[: draw(st.integers(1, n))]
+    letters = list(word)
+    for i in draw(st.lists(st.integers(0, len(word) - 1), max_size=3)):
         letters[i] = "1" if letters[i] == "0" else "0"
     return "".join(letters)
 
 
-@given(flipped_christoffel_conjugates())
+@given(flipped_christoffel_words(200))
 def test_unbalance_witness_matches_the_all_lengths_search(w):
     assert unbalance_witness(w) == naive_unbalance_witness(w)
 
@@ -120,6 +130,26 @@ def test_rotation_witness_is_the_first_unbalanced_rotation():
             assert found.rotation == w[found.offset :] + w[: found.offset]
             assert not naive_is_balanced(found.rotation)
             assert all(naive_is_balanced(w[i:] + w[:i]) for i in range(found.offset))
+
+
+def test_rotation_witness_matches_the_rotation_loop_exhaustively():
+    for w in all_words(14, min_len=1):
+        assert rotation_witness(w) == naive_rotation_witness(w)
+
+
+@settings(deadline=None)  # the rotation-loop oracle is cubic: about 0.1 s at 120 letters
+@given(flipped_christoffel_words(120))
+def test_rotation_witness_matches_the_rotation_loop(w):
+    assert rotation_witness(w) == naive_rotation_witness(w)
+
+
+def test_circular_balance_at_scale():
+    # A non-primitive conjugate of 4096 letters: one C+C search, where
+    # scanning its rotations would take hours.
+    c = lower_christoffel(1500, 2596)
+    assert is_circularly_balanced(c[1000:] + c[:1000])
+    flipped = "1" + c[1:]
+    assert not is_circularly_balanced(flipped[1000:] + flipped[:1000])
 
 
 def test_circular_balance_means_christoffel_conjugate():
@@ -213,6 +243,21 @@ def test_prefix_normal_witness_proves_its_claim():
             assert w[start : start + k] == found.factor
             assert found.prefix == w[:k]
             assert found.factor.count("0") > found.prefix.count("0")
+
+
+def test_christoffel_prefix_and_prefix_normal_witness_match_oracles_exhaustively():
+    assert is_christoffel_prefix("")
+    for w in all_words(16):
+        expected = naive_prefix_normal_witness(w)
+        assert prefix_normal_witness(w) == expected
+        # naive_is_plc, with the prefix-normal half already computed above.
+        assert is_christoffel_prefix(w) == (expected is None and naive_is_balanced(w))
+
+
+@given(flipped_christoffel_words(300))
+def test_christoffel_prefix_and_prefix_normal_witness_match_oracles(w):
+    assert is_christoffel_prefix(w) == naive_is_plc(w)
+    assert prefix_normal_witness(w) == naive_prefix_normal_witness(w)
 
 
 def test_in_digital_bar_known_cases():

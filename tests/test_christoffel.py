@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_words, euler_phi, lower_christoffel_arithmetic, naive_is_balanced
+from conftest import (
+    all_words,
+    euler_phi,
+    lower_christoffel_arithmetic,
+    naive_is_balanced,
+    naive_is_central,
+)
 
 from balwords.christoffel import (
     CentralPair,
@@ -96,6 +102,11 @@ def test_is_central():
     assert is_central("")
     assert is_central("0")
     assert is_central("000")
+
+
+def test_is_central_matches_the_period_loop_exhaustively():
+    for w in all_words(16):
+        assert is_central(w) == naive_is_central(w)
 
 
 def test_central_words_are_palindromes():

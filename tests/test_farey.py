@@ -5,7 +5,7 @@ import pytest
 
 from conftest import all_words, euler_phi
 
-from balwords.balance import is_balanced, is_left_special
+from balwords.balance import is_balanced, is_left_special, prefix_normal_witness
 from balwords.christoffel import lower_christoffel, primitive_lower_christoffel_words
 from balwords import farey
 from balwords.farey import (
@@ -36,6 +36,16 @@ def test_is_plc_matches_left_special_characterization():
             w[0] == "0" and is_balanced(w[1:]) and is_left_special(w[1:])
         )
         assert is_plc(w) == expected
+
+
+def test_is_plc_at_scale():
+    # A 10^5-letter prefix: one slope-interval pass, where the balance and
+    # prefix-normal scans would each be quadratic.
+    w = lower_christoffel(61803, 100000)[:100000]
+    assert is_plc(w)
+    assert prefix_normal_witness(w) is None
+    flipped = w[:50000] + ("1" if w[50000] == "0" else "0") + w[50001:]
+    assert not is_plc(flipped)
 
 
 def test_plc_root_known_values():

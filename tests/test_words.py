@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_words, is_conjugate_of_reversal, naive_smallest_period
+from conftest import all_words, is_conjugate_of_reversal, naive_is_lyndon, naive_smallest_period
 
 from balwords.words import (
     Parikh,
@@ -16,6 +16,7 @@ from balwords.words import (
     is_primitive,
     is_unbordered,
     parikh,
+    periods,
     reversal,
     smallest_period,
     two_palindrome_splits,
@@ -76,6 +77,14 @@ def test_smallest_period_known_values():
 def test_smallest_period_matches_naive_scan_exhaustively():
     for w in all_words(16, min_len=1):
         assert smallest_period(w) == naive_smallest_period(w)
+
+
+def test_periods_are_every_period_in_order():
+    assert periods("010010") == [3, 5, 6]
+    assert periods("0000") == [1, 2, 3, 4]
+    for w in all_words(12, min_len=1):
+        expected = [p for p in range(1, len(w) + 1) if w[: len(w) - p] == w[p:]]
+        assert periods(w) == expected
 
 
 def test_period_border_duality():
@@ -145,6 +154,11 @@ def test_is_lyndon():
     assert is_lyndon("00100100101")
     assert not is_lyndon("10")
     assert not is_lyndon("0101")
+
+
+def test_is_lyndon_matches_the_conjugate_minimum_exhaustively():
+    for w in all_words(16, min_len=1):
+        assert is_lyndon(w) == naive_is_lyndon(w)
 
 
 def test_is_lyndon_equals_primitive_strict_minimum():
