@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print the table of balanced-word counts by Parikh vector.
 
-With --verify, every cell is recomputed by full enumeration and any
-disagreement is flagged (none expected).
+With --verify, every cell is recomputed by full enumeration; a
+disagreement is flagged with '!' and makes the script exit with status 1.
 """
 
 import argparse
+import sys
 
 from balwords.counting import brute_count_balanced, count_balanced
 
@@ -34,6 +35,8 @@ def main() -> None:
         print(f"{b:>4} " + "".join(cells))
     if args.verify:
         print(f"\nverified {args.max * args.max} cells, {mismatches} mismatches")
+        if mismatches:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

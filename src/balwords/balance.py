@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .christoffel import lower_christoffel, upper_christoffel
-from .counting import term_ranges
+from .counting import walk_terms
 from .words import Parikh, parikh
 
 
@@ -203,14 +203,16 @@ def is_strictly_bispecial(v: str) -> bool:
     return all(is_balanced(x + v + y) for x in "01" for y in "01")
 
 
-def is_christoffel_prefix(w: str) -> bool:
-    """Whether w is a prefix of a (possibly non-primitive) lower Christoffel word.
+def christoffel_prefix_slope(w: str) -> tuple[int, int] | None:
+    """(p, q): the least slope p/q, in lowest terms, of a lower Christoffel
+    word whose powers start with w; None when there is none.
 
-    With h_i the number of ones in the length-i prefix, w is such a prefix
-    iff some slope r has h_i = floor(i*r) for every i, that is iff
-    max h_i/i < min (h_i+1)/i over 1 <= i <= |w|.  One pass keeps both
-    extremes as fractions and compares them by cross-multiplication.  These
-    are the words that are both balanced and prefix normal.
+    With h_i the number of ones in the length-i prefix, the slopes r with
+    h_i = floor(i*r) for every i form the interval [max h_i/i, min (h_i+1)/i),
+    1 <= i <= |w|.  One pass keeps both extremes as fractions and compares
+    them by cross-multiplication.  The maximum p/q is first reached at
+    i = q, and only a strictly larger value replaces it, so it is kept in
+    lowest terms.
     """
     lo_num, lo_den = 0, 1  # max h_i/i so far
     hi_num, hi_den = 1, 0  # min (h_i+1)/i so far, starting at infinity
@@ -223,8 +225,16 @@ def is_christoffel_prefix(w: str) -> bool:
         if (h + 1) * hi_den < hi_num * i:
             hi_num, hi_den = h + 1, i
         if lo_num * hi_den >= hi_num * lo_den:
-            return False
-    return True
+            return None
+    return lo_num, lo_den
+
+
+def is_christoffel_prefix(w: str) -> bool:
+    """Whether w is a prefix of a (possibly non-primitive) lower Christoffel word.
+
+    These are the words that are both balanced and prefix normal.
+    """
+    return christoffel_prefix_slope(w) is not None
 
 
 def prefix_normal_witness(w: str) -> PrefixNormalWitness | None:
@@ -284,18 +294,18 @@ def enumerate_balanced(a: int, b: int) -> list[str]:
 
     Built from the counting decomposition: every such word is a window of
     length a+b of the periodic lower Christoffel word of a coprime pair
-    (alpha, beta) from the term list, and every window with b ones is
-    balanced.  The windows at the alpha+beta offsets of each pair, united
-    and sorted, are the whole set.  (0, 0) gives the empty word.
+    (alpha, beta) of the count's terms (``counting.walk_terms``), and every
+    window with b ones is balanced.  The windows at the alpha+beta offsets
+    of each pair, united and sorted, are the whole set.  (0, 0) gives the
+    empty word.
     """
     if a < 0 or b < 0:
         raise ValueError("need a,b >= 0")
     if a == 0 or b == 0:
         return ["0" * a + "1" * b]
     n = a + b
-    heavy, light = term_ranges(a, b)
     out: set[str] = set()
-    for alpha, beta in set(heavy + light):
+    for alpha, beta in {t[:2] for t in walk_terms(a, b)}:
         m = alpha + beta
         text = lower_christoffel(alpha, beta) * (n // m + 2)
         out.update(w for i in range(m) if (w := text[i : i + n]).count("1") == b)

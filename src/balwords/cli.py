@@ -139,23 +139,24 @@ def _cmd_check(args) -> tuple[str, int]:
 
 
 def _cmd_count(args) -> tuple[str, int]:
-    report = counting.count_balanced_report(args.a, args.b)
+    report = counting.count_balanced_report(args.a, args.b) if args.audit or args.json else None
+    total = report.total if report is not None else counting.count_balanced(args.a, args.b)
     code = 0
     oracle_total = None
     if args.oracle:
         oracle_total = counting.brute_count_balanced(args.a, args.b, cap=ORACLE_CAP)
-        if oracle_total != report.total:
+        if oracle_total != total:
             code = 1
-    if args.audit or args.json:
+    if report is not None:
         payload = report.as_dict()
         if oracle_total is not None:
             payload["oracle"] = oracle_total
-            payload["agrees"] = oracle_total == report.total
+            payload["agrees"] = oracle_total == total
         return json.dumps(payload, indent=2), code
     if oracle_total is not None:
         status = "ok" if code == 0 else "MISMATCH"
-        return f"formula={report.total} oracle={oracle_total} {status}", code
-    return str(report.total), code
+        return f"formula={total} oracle={oracle_total} {status}", code
+    return str(total), code
 
 
 def _cmd_enum(args) -> tuple[str, int]:

@@ -6,10 +6,15 @@ the lower Christoffel word of slope beta/alpha with minimal period
 alpha+beta.  Summing the per-pair factor counts, split into light and
 heavy height classes, gives the total.
 
+The coprime pairs of the two sums are the fractions of two short slope
+intervals, walked in increasing order as consecutive Farey fractions of
+bounded denominator; no pair is tested with gcd.  Each walked fraction's
+successor gives the pair's inverses mod alpha+beta, with no modular
+exponentiation, and each term's height sums reduce to one closed-form
+floor sum, O(log(alpha+beta)).  A count sums the terms along the walk.
+
 All arithmetic is exact: floors and ceilings of beta*k/(alpha+beta) are
-integer divisions, and range bounds are compared by cross-multiplication.
-The height sums are closed-form floor sums, O(log(alpha+beta)) per term,
-so a count costs one such evaluation per coprime pair of the term list.
+integer divisions, and fractions are compared by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -94,38 +99,46 @@ def _floor_sum(count: int, m: int, p: int, q: int) -> int:
         m, p = p, m
 
 
-def _period_term(alpha: int, beta: int, n: int) -> tuple[int, int]:
-    """(N, H): the length-n factors of minimal period alpha+beta and the heavy ones.
+def _term(alpha: int, beta: int, alpha_inv: int, beta_inv: int, n: int) -> tuple[int, int]:
+    """(N, H) of a coprime pair with n >= m = alpha+beta, given its inverses mod m.
 
-    Both come from one pair of inverses alpha', beta' mod alpha+beta.  Below
-    the periodic regime H is a height sum: the summed floor and ceiling
-    heights of the qualifying factors minus floor(n*beta/(alpha+beta)) per
-    factor.  Each height sum over a run of consecutive k is one closed-form
-    floor sum, ceil(beta*k/m) being (beta*k + m - 1) // m.
+    Below the periodic regime H is a height sum: the summed floor and
+    ceiling heights of the qualifying factors minus floor(n*beta/m) per
+    factor.  Each is one floor sum G(c) = sum of beta*k // m over k < c.
+    With beta coprime to m, ceil(beta*k/m) = beta*k // m + 1 except at the
+    multiples of m, and every run length c here is at most m, so a ceiling
+    sum is G(c) + c - 1.  As beta*alpha' = -1 and beta*beta' = 1 (mod m),
+    heights shifted by alpha' or beta' are ceiling or floor heights plus a
+    constant.
     """
+    m = alpha + beta
+    hi = max(alpha_inv, beta_inv)
+    if n >= m + hi:
+        return m, n * beta % m
+    floor_n = beta * n // m
+    if n < 2 * m - hi:  # m + min(alpha', beta'), as alpha' + beta' = m
+        # ceil heights over k = m..n plus floor heights over k = 0..n-m
+        span = n - m + 1
+        s = span * (beta + 1) + 2 * _floor_sum(span, m, beta, 0) - 1
+        return 2 * span, 2 * (s - floor_n * span)
+    nn = n - hi + 1
+    s = 2 * _floor_sum(nn, m, beta, 0)
+    if beta_inv < alpha_inv:
+        # floor heights over k = alpha'..n plus ceil heights over k = 0..n-alpha'
+        s += nn * ((beta * alpha_inv + 1) // m + 1) - 2
+    else:
+        # ceil heights over k = beta'..n plus floor heights over k = 0..n-beta'
+        s += nn * ((beta * beta_inv - 1) // m + 1)
+    return nn, s - floor_n * nn
+
+
+def _period_term(alpha: int, beta: int, n: int) -> tuple[int, int]:
+    """(N, H): the length-n factors of minimal period alpha+beta and the heavy ones."""
     if alpha < 1 or beta < 1 or n < 0:
         raise ValueError("need alpha,beta >= 1 and n >= 0")
-    m = alpha + beta
-    if gcd(alpha, beta) > 1 or n < m:
+    if gcd(alpha, beta) > 1 or n < alpha + beta:
         return 0, 0
-    ai, bi = period_inverses(alpha, beta)
-    floor_n = beta * n // m
-    if n < m + min(ai, bi):
-        # sum of ceil heights over k = m..n plus floor heights over k = 0..n-m
-        span = n - m + 1
-        s = _floor_sum(span, m, beta, beta * m + m - 1) + _floor_sum(span, m, beta, 0)
-        nn = 2 * span
-        return nn, 2 * s - floor_n * nn
-    if n < m + max(ai, bi):
-        nn = n - max(ai, bi) + 1
-        if bi < ai:
-            # floor heights over k = alpha'..n plus ceil heights over k = 0..n-alpha'
-            s = _floor_sum(nn, m, beta, beta * ai) + _floor_sum(nn, m, beta, m - 1)
-        else:
-            # ceil heights over k = beta'..n plus floor heights over k = 0..n-beta'
-            s = _floor_sum(nn, m, beta, beta * bi + m - 1) + _floor_sum(nn, m, beta, 0)
-        return nn, s - floor_n * nn
-    return m, n * beta % m
+    return _term(alpha, beta, *period_inverses(alpha, beta), n)
 
 
 def count_period_factors(alpha: int, beta: int, n: int) -> int:
@@ -157,56 +170,98 @@ def count_heavy_factors(alpha: int, beta: int, n: int) -> int:
     Outside the periodic regime the count is a height sum: total heights
     of the qualifying factors minus floor(sigma*n) per factor, where
     sigma = beta/(alpha+beta).  The summation limits depend on where
-    n-alpha-beta falls relative to the inverses alpha', beta'; each sum of
-    floor or ceiling heights is a closed-form floor sum, O(log(alpha+beta))
-    per term.  For large n the count stabilizes at n*beta mod (alpha+beta).
+    n-alpha-beta falls relative to the inverses alpha', beta'; the sums of
+    floor and ceiling heights reduce to one closed-form floor sum,
+    O(log(alpha+beta)).  For large n the count stabilizes at
+    n*beta mod (alpha+beta).
     """
     return _period_term(alpha, beta, n)[1]
 
 
-def term_ranges(a: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Coprime index pairs of the two sums: heavy terms over alpha, light over beta.
+def _neighbours(order: int, u: int, v: int) -> tuple[int, int, int, int]:
+    """(p, q, r, s): the consecutive fractions p/q <= u/v < r/s of denominator <= order.
 
-    Heavy: 1 <= alpha <= a and (b-1)*alpha/(a+1) < beta <= b*alpha/a.
-    Light: 1 <= beta <= b and (a-1)*beta/(b+1) < alpha <= a*beta/b.
-    Bounds are evaluated on integers (strict left, inclusive right).  Pairs
-    with a common factor have no factor of minimal period alpha+beta, so
-    they are left out; needs a, b >= 1.
+    Batched Stern-Brocot descent from 0/1 and 1/0, for u >= 0 and v, order
+    >= 1: each step moves one end as many mediants toward u/v as the value
+    and the denominator bound allow, so the steps follow the continued
+    fraction of u/v, O(log) of them.
     """
-    heavy = []
-    for alpha in range(1, a + 1):
-        lo = (b - 1) * alpha // (a + 1) + 1
-        hi = b * alpha // a
-        heavy.extend((alpha, beta) for beta in range(lo, hi + 1) if gcd(alpha, beta) == 1)
-    light = []
-    for beta in range(1, b + 1):
-        lo = (a - 1) * beta // (b + 1) + 1
-        hi = a * beta // b
-        light.extend((alpha, beta) for alpha in range(lo, hi + 1) if gcd(alpha, beta) == 1)
-    return heavy, light
+    p, q, r, s = 0, 1, 1, 0
+    while q + s <= order:
+        if (p + r) * v <= u * (q + s):
+            t = (u * q - v * p) // (v * r - u * s)
+            if s:
+                t = min(t, (order - q) // s)
+            p, q = p + t * r, q + t * s
+        else:
+            below = u * q - v * p
+            t = (order - s) // q
+            if below:
+                t = min(t, (v * r - u * s - 1) // below)
+            r, s = r + t * p, s + t * q
+    return p, q, r, s
+
+
+def walk_terms(a: int, b: int):
+    """Yield (alpha, beta, alpha', beta', kind) for every term of the (a, b) count.
+
+    Heavy terms are the fractions beta/alpha with alpha <= a in
+    ((b-1)/(a+1), b/a], light terms the fractions alpha/beta with beta <= b
+    in ((a-1)/(b+1), a/b]; needs a, b >= 1.  Each interval is walked in
+    increasing order from the Farey neighbours of its open left end, by the
+    next-term recurrence for consecutive fractions p/q < r/s of denominator
+    at most the order.  Neighbours satisfy r*q - p*s = 1, so the walk yields
+    exactly the coprime pairs, and with q = -p (mod m), m = p+q, the
+    successor gives p's inverse -(r+s) mod m; alpha' + beta' = m.
+    """
+    walks = ((a, b - 1, a + 1, b, a, "heavy"), (b, a - 1, b + 1, a, b, "light"))
+    for order, u, v, x, y, kind in walks:
+        p, q, r, s = _neighbours(order, u, v)
+        while r * y <= x * s:
+            k = (order + q) // s
+            p, q, r, s = r, s, k * r - p, k * s - q
+            m = p + q
+            inv = -(r + s) % m
+            if kind == "heavy":
+                yield q, p, m - inv, inv, kind
+            else:
+                yield p, q, inv, m - inv, kind
 
 
 def count_balanced_report(a: int, b: int) -> CountReport:
-    """Balanced-word count for Parikh vector (a, b) with its term breakdown."""
+    """Balanced-word count for Parikh vector (a, b) with its term breakdown.
+
+    Heavy terms come first, each kind ordered by alpha, then beta.  Within a
+    kind beta never falls as alpha rises, so this is also the order by beta.
+    """
     if a < 0 or b < 0:
         raise ValueError("need a,b >= 0")
     if a == 0 or b == 0:
         return CountReport(a, b, (), 1)
     n = a + b
-    heavy, light = term_ranges(a, b)
     terms = []
-    for alpha, beta in heavy:
-        nv, hv = _period_term(alpha, beta, n)
-        terms.append(CountTerm(alpha, beta, "heavy", nv, hv, hv))
-    for alpha, beta in light:
-        nv, hv = _period_term(alpha, beta, n)
-        terms.append(CountTerm(alpha, beta, "light", nv, hv, nv - hv))
+    for alpha, beta, alpha_inv, beta_inv, kind in walk_terms(a, b):
+        nv, hv = _term(alpha, beta, alpha_inv, beta_inv, n)
+        terms.append(CountTerm(alpha, beta, kind, nv, hv, hv if kind == "heavy" else nv - hv))
+    terms.sort(key=lambda t: (t.kind, t.alpha, t.beta))
     return CountReport(a, b, tuple(terms), sum(t.contribution for t in terms))
 
 
 def count_balanced(a: int, b: int) -> int:
-    """Number of balanced words with a zeros and b ones; 1 when either is 0."""
-    return count_balanced_report(a, b).total
+    """Number of balanced words with a zeros and b ones; 1 when either is 0.
+
+    Sums the terms along the walk without building a report.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("need a,b >= 0")
+    if a == 0 or b == 0:
+        return 1
+    n = a + b
+    total = 0
+    for alpha, beta, alpha_inv, beta_inv, kind in walk_terms(a, b):
+        nv, hv = _term(alpha, beta, alpha_inv, beta_inv, n)
+        total += hv if kind == "heavy" else nv - hv
+    return total
 
 
 def brute_balanced_words(a: int, b: int) -> list[str]:

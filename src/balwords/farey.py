@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .balance import is_christoffel_prefix
+from .balance import christoffel_prefix_slope, is_christoffel_prefix
 from .christoffel import lower_christoffel
-from .words import parikh
 
 
 @dataclass(frozen=True)
@@ -40,20 +38,19 @@ def is_plc(w: str) -> bool:
 def plc_root(v: str) -> str:
     """The primitive lower Christoffel word whose infinite power v prefixes.
 
-    The root is the shortest prefix of v that is a primitive lower
-    Christoffel word and reproduces v when repeated.
+    The slopes of the lower Christoffel words whose powers start with v form
+    an interval [p/q, r/s) whose ends are consecutive fractions of
+    denominator at most |v|, the breakpoints of floor(i*x) for i <= |v|.  So
+    its lower end p/q has the least denominator in it, and the root is the
+    Christoffel word of that slope, the shortest one.
     """
-    if not is_plc(v):
+    if not v:
+        raise ValueError("the empty word is not classified")
+    slope = christoffel_prefix_slope(v)
+    if slope is None:
         raise ValueError(f"{v!r} is not a prefix of a lower Christoffel word")
-    for m in range(1, len(v) + 1):
-        r = v[:m]
-        a, b = parikh(r)
-        if gcd(a, b) != 1 or r != lower_christoffel(a, b):
-            continue
-        reps = len(v) // m + 1
-        if (r * reps).startswith(v):
-            return r
-    raise RuntimeError(f"no primitive root found for {v!r}")
+    p, q = slope
+    return lower_christoffel(q - p, p)
 
 
 def enumerate_plc(n: int) -> list[PlcEntry]:

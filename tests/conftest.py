@@ -14,9 +14,15 @@ from math import gcd
 
 from balwords.balance import ImbalanceWitness, PrefixNormalWitness, RotationWitness, is_balanced
 from balwords.christoffel import lower_christoffel, period_inverses, upper_christoffel
-from balwords.counting import count_period_factors, prefix_height_upper
+from balwords.counting import (
+    CountReport,
+    CountTerm,
+    _period_term,
+    count_period_factors,
+    prefix_height_upper,
+)
 from balwords.forbidden import enumerate_mab, enumerate_mf
-from balwords.words import conjugates, has_period, is_lyndon, smallest_period
+from balwords.words import conjugates, has_period, is_lyndon, parikh, smallest_period
 
 
 def all_words(max_len: int, min_len: int = 0):
@@ -241,6 +247,61 @@ def naive_heavy_factors(alpha: int, beta: int, n: int) -> int:
         s = sum(ce(n - i) + fl(i) for i in range(n - bi + 1))
         return s - fl(n) * nn
     return n * beta % m
+
+
+def term_ranges(a: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Coprime index pairs of the two sums: heavy terms over alpha, light over beta.
+
+    Heavy: 1 <= alpha <= a and (b-1)*alpha/(a+1) < beta <= b*alpha/a.
+    Light: 1 <= beta <= b and (a-1)*beta/(b+1) < alpha <= a*beta/b.
+    Bounds are evaluated on integers (strict left, inclusive right).  Pairs
+    with a common factor have no factor of minimal period alpha+beta, so
+    they are left out; needs a, b >= 1.
+    """
+    heavy = []
+    for alpha in range(1, a + 1):
+        lo = (b - 1) * alpha // (a + 1) + 1
+        hi = b * alpha // a
+        heavy.extend((alpha, beta) for beta in range(lo, hi + 1) if gcd(alpha, beta) == 1)
+    light = []
+    for beta in range(1, b + 1):
+        lo = (a - 1) * beta // (b + 1) + 1
+        hi = a * beta // b
+        light.extend((alpha, beta) for alpha in range(lo, hi + 1) if gcd(alpha, beta) == 1)
+    return heavy, light
+
+
+def naive_count_balanced_report(a: int, b: int) -> CountReport:
+    """Oracle for count_balanced_report: term_ranges' pairs, each term from
+    period_inverses through _period_term."""
+    if a < 0 or b < 0:
+        raise ValueError("need a,b >= 0")
+    if a == 0 or b == 0:
+        return CountReport(a, b, (), 1)
+    n = a + b
+    heavy, light = term_ranges(a, b)
+    terms = []
+    for alpha, beta in heavy:
+        nv, hv = _period_term(alpha, beta, n)
+        terms.append(CountTerm(alpha, beta, "heavy", nv, hv, hv))
+    for alpha, beta in light:
+        nv, hv = _period_term(alpha, beta, n)
+        terms.append(CountTerm(alpha, beta, "light", nv, hv, nv - hv))
+    return CountReport(a, b, tuple(terms), sum(t.contribution for t in terms))
+
+
+def naive_plc_root(v: str) -> str:
+    """Oracle for plc_root on a PLC word v: the shortest prefix of v that is a
+    primitive lower Christoffel word and reproduces v when repeated."""
+    for m in range(1, len(v) + 1):
+        r = v[:m]
+        a, b = parikh(r)
+        if gcd(a, b) != 1 or r != lower_christoffel(a, b):
+            continue
+        reps = len(v) // m + 1
+        if (r * reps).startswith(v):
+            return r
+    raise ValueError(f"no primitive root found for {v!r}")
 
 
 def enumerate_mab_from_squares(max_len: int) -> list[str]:

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,15 +10,19 @@ from conftest import (
     brute_heavy_factors,
     brute_period_factors,
     euler_phi,
+    naive_count_balanced_report,
     naive_heavy_factors,
     periodic_window,
+    term_ranges,
 )
 
 from balwords.balance import enumerate_balanced
 from balwords.christoffel import period_inverses
+from balwords import counting
 from balwords.counting import (
     CountTerm,
     _floor_sum,
+    _neighbours,
     brute_count_balanced,
     count_balanced,
     count_balanced_report,
@@ -25,6 +31,7 @@ from balwords.counting import (
     count_period_factors,
     prefix_height_lower,
     prefix_height_upper,
+    walk_terms,
 )
 from balwords.words import parikh, smallest_period
 
@@ -183,6 +190,83 @@ def test_length_n_totals_match_mignosi_and_mirror(n):
     counts = [count_balanced(a, n - a) for a in range(0, n + 1)]
     assert counts == counts[::-1]
     assert sum(counts) == 1 + sum((n - k + 1) * euler_phi(k) for k in range(1, n + 1))
+
+
+def test_count_balanced_mirror_at_scale():
+    # 16,670 terms on each side, beyond the reach of the exhaustive checks.
+    assert count_balanced(20001, 20000) == count_balanced(20000, 20001)
+
+
+def test_neighbours_bracket_the_point_in_the_bounded_farey_set():
+    for order in range(1, 13):
+        fractions = sorted({Fraction(p, q) for q in range(1, order + 1) for p in range(0, 4 * q + 1)})
+        for v in range(1, 16):
+            for u in range(0, 3 * v):
+                p, q, r, s = _neighbours(order, u, v)
+                i = bisect_right(fractions, Fraction(u, v))
+                assert (Fraction(p, q), Fraction(r, s)) == (fractions[i - 1], fractions[i])
+                assert q <= order and s <= order and r * q - p * s == 1
+
+
+def _walked_pairs(a, b):
+    heavy, light = [], []
+    for alpha, beta, _, _, kind in walk_terms(a, b):
+        (heavy if kind == "heavy" else light).append((alpha, beta))
+    return heavy, light
+
+
+def test_walked_pairs_match_the_gcd_filter_exhaustively():
+    for a in range(1, 61):
+        for b in range(1, 61):
+            heavy, light = _walked_pairs(a, b)
+            expected_heavy, expected_light = term_ranges(a, b)
+            assert sorted(heavy) == expected_heavy
+            assert sorted(light, key=lambda t: (t[1], t[0])) == expected_light
+
+
+@given(st.integers(1, 3000), st.integers(1, 3000))
+def test_walked_pairs_match_the_gcd_filter(a, b):
+    heavy, light = _walked_pairs(a, b)
+    expected_heavy, expected_light = term_ranges(a, b)
+    assert sorted(heavy) == expected_heavy
+    assert sorted(light, key=lambda t: (t[1], t[0])) == expected_light
+
+
+def test_walked_inverses_match_period_inverses():
+    # Every coprime pair with alpha+beta <= n is a term of some count with
+    # a+b = n, so these walks meet each of them, (1, 1) included.
+    n = 200
+    seen = {}
+    for a in range(1, n):
+        for alpha, beta, alpha_inv, beta_inv, _ in walk_terms(a, n - a):
+            seen[alpha, beta] = (alpha_inv, beta_inv)
+            assert (alpha_inv, beta_inv) == period_inverses(alpha, beta)
+    assert set(seen) == set(coprime_pairs(n))
+
+
+def test_report_matches_the_term_ranges_report_exhaustively():
+    for a in range(0, 61):
+        for b in range(0, 61):
+            report = count_balanced_report(a, b)
+            assert report == naive_count_balanced_report(a, b)
+            assert count_balanced(a, b) == report.total
+
+
+@given(st.integers(0, 3000), st.integers(0, 3000))
+def test_report_matches_the_term_ranges_report(a, b):
+    report = count_balanced_report(a, b)
+    assert report == naive_count_balanced_report(a, b)
+    assert count_balanced(a, b) == report.total
+
+
+def test_count_path_calls_neither_gcd_nor_modular_inverse(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called on the count path")
+
+    monkeypatch.setattr(counting, "gcd", forbidden)
+    monkeypatch.setattr(counting, "period_inverses", forbidden)
+    assert count_balanced(5, 3) == 12
+    assert count_balanced_report(97, 60).total == count_balanced(60, 97)
 
 
 def test_brute_count_balanced_cap():

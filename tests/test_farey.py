@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from conftest import all_words, euler_phi
+from conftest import all_words, euler_phi, naive_plc_root
 
 from balwords.balance import is_balanced, is_left_special, prefix_normal_witness
 from balwords.christoffel import lower_christoffel, primitive_lower_christoffel_words
@@ -57,11 +58,37 @@ def test_plc_root_known_values():
         plc_root("00101001001")
 
 
+def test_plc_root_matches_the_prefix_search_exhaustively():
+    for n in range(1, 17):
+        words = [e.word for e in enumerate_plc(n)]
+        assert len(words) == 1 + sum(euler_phi(k) for k in range(1, n + 1))
+        for w in words:
+            assert plc_root(w) == naive_plc_root(w)
+    with pytest.raises(ValueError):
+        plc_root("")
+
+
+def test_plc_root_at_scale():
+    # naive_plc_root is quadratic in |v|, so at this length the root is
+    # checked by its defining properties.
+    w = lower_christoffel(61803, 100000)[:100000]
+    root = plc_root(w)
+    zeros, ones = root.count("0"), root.count("1")
+    assert root == lower_christoffel(zeros, ones) and gcd(zeros, ones) == 1
+    assert (root * (len(w) // len(root) + 1)).startswith(w)
+    assert len(root) < len(w)
+    periodic = (lower_christoffel(377, 610) * 102)[:100000]
+    assert plc_root(periodic) == lower_christoffel(377, 610)
+    flipped = w[:50000] + ("1" if w[50000] == "0" else "0") + w[50001:]
+    with pytest.raises(ValueError):
+        plc_root(flipped)
+
+
 def test_plc_root_well_defined():
     for n in range(1, 25):
         for entry in enumerate_plc(n):
             root = entry.root
-            # plc_root searches the word itself; the walk never calls it.
+            # plc_root reads the word's slope interval; the walk never calls it.
             assert root == plc_root(entry.word)
             p, q = entry.fraction.numerator, entry.fraction.denominator
             assert root == lower_christoffel(q - p, p)
