@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .christoffel import lower_christoffel, upper_christoffel
+from .christoffel import lower_christoffel
 from .counting import walk_terms
-from .words import Parikh, parikh
+from .words import parikh
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,6 @@ class BarWitness:
     prefix_length: int
     height: int
     allowed: list[int] = field(hash=False)  # a list to print as [lo, hi]; kept out of the hash
-
-
-@dataclass(frozen=True)
-class FactorClass:
-    """The one or two Parikh vectors taken by the length-k factors of a balanced word."""
-
-    length: int
-    light: Parikh
-    heavy: Parikh | None = None
 
 
 def _ones_prefix(w: str) -> list[int]:
@@ -150,57 +141,6 @@ def rotation_witness(w: str) -> RotationWitness | None:
 def is_circularly_balanced(w: str) -> bool:
     """Whether every rotation of w is balanced."""
     return rotation_witness(w) is None
-
-
-def factor_classes(w: str) -> list[FactorClass]:
-    """Per-length Parikh classes of the factors of a balanced word.
-
-    For each k the factors take one or two Parikh vectors; the one with
-    fewer ones is light, the other (when present) heavy.  A single class
-    is reported as light.
-    """
-    if not is_balanced(w):
-        raise ValueError("factor classes are defined for balanced words only")
-    n = len(w)
-    ones = _ones_prefix(w)
-    out = [FactorClass(0, Parikh(0, 0))]
-    for k in range(1, n + 1):
-        counts = {ones[i + k] - ones[i] for i in range(n - k + 1)}
-        lo = min(counts)
-        light = Parikh(k - lo, lo)
-        if len(counts) == 1:
-            out.append(FactorClass(k, light))
-        else:
-            out.append(FactorClass(k, light, Parikh(k - lo - 1, lo + 1)))
-    return out
-
-
-def _require_balanced(v: str) -> None:
-    if not is_balanced(v):
-        raise ValueError("argument must be a balanced word")
-
-
-def is_right_special(v: str) -> bool:
-    """Whether both v0 and v1 are balanced."""
-    _require_balanced(v)
-    return is_balanced(v + "0") and is_balanced(v + "1")
-
-
-def is_left_special(v: str) -> bool:
-    """Whether both 0v and 1v are balanced."""
-    _require_balanced(v)
-    return is_balanced("0" + v) and is_balanced("1" + v)
-
-
-def is_bispecial(v: str) -> bool:
-    _require_balanced(v)
-    return is_left_special(v) and is_right_special(v)
-
-
-def is_strictly_bispecial(v: str) -> bool:
-    """Whether all four extensions 0v1, 1v0, 0v0, 1v1 are balanced."""
-    _require_balanced(v)
-    return all(is_balanced(x + v + y) for x in "01" for y in "01")
 
 
 def christoffel_prefix_slope(w: str) -> tuple[int, int] | None:
@@ -310,8 +250,3 @@ def enumerate_balanced(a: int, b: int) -> list[str]:
         text = lower_christoffel(alpha, beta) * (n // m + 2)
         out.update(w for i in range(m) if (w := text[i : i + n]).count("1") == b)
     return sorted(out)
-
-
-def digital_bar_bounds(a: int, b: int) -> tuple[str, str]:
-    """The lower and upper boundary words of the (a, b) Christoffel bar."""
-    return lower_christoffel(a, b), upper_christoffel(a, b)

@@ -4,7 +4,9 @@ A lower Christoffel word encodes the tightest lattice path from (0,0) to
 (a,b) that stays weakly below the straight segment between those points
 ('0' = unit step right, '1' = unit step up); the upper word is its
 reversal and runs weakly above.  Central words are the palindromic
-interiors of the primitive ones.
+interiors of the primitive ones.  Every other object here is cut or
+rotated from the lower word: both factorizations cut it after a' or b'
+letters, and the conjugate matrix holds its sorted rotations.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import is_palindrome, parikh, periods, reversal
+from .words import periods, reversal
 
 
 @dataclass(frozen=True)
@@ -24,20 +26,6 @@ class Factorization:
     @property
     def word(self) -> str:
         return self.left + self.right
-
-
-@dataclass(frozen=True)
-class PowerOfLetter:
-    letter: str
-    count: int
-
-
-@dataclass(frozen=True)
-class CentralPair:
-    """The unique palindromes P, Q with C = P 01 Q = Q 10 P."""
-
-    p: str
-    q: str
 
 
 @dataclass(frozen=True)
@@ -112,28 +100,6 @@ def is_central(w: str) -> bool:
     return False
 
 
-def central_decompose(c: str) -> PowerOfLetter | CentralPair:
-    """Split a central word as P 01 Q = Q 10 P, or report it as a letter power.
-
-    The pair (P, Q) is unique; finding two valid splits would be an
-    internal inconsistency.
-    """
-    if not is_central(c):
-        raise ValueError(f"{c!r} is not a central word")
-    if len(set(c)) <= 1:
-        return PowerOfLetter(c[0] if c else "0", len(c))
-    found = []
-    for i in range(len(c) - 1):
-        if c[i : i + 2] != "01":
-            continue
-        p, q = c[:i], c[i + 2 :]
-        if is_palindrome(p) and is_palindrome(q) and q + "10" + p == c:
-            found.append(CentralPair(p, q))
-    if len(found) != 1:
-        raise RuntimeError(f"expected exactly one P01Q split of {c!r}, found {len(found)}")
-    return found[0]
-
-
 def period_inverses(a: int, b: int) -> tuple[int, int]:
     """(a', b'): multiplicative inverses of a and b modulo a+b.
 
@@ -151,17 +117,13 @@ def palindromic_factorization(a: int, b: int) -> Factorization:
     """Split the primitive lower Christoffel word into two palindromes.
 
     For 0C1 with C = P01Q this is 0P0 . 1Q1; letter-power interiors give
-    the splits 0^(n+1) . 1 and 0 . 1^(n+1).  Swapping the parts yields the
+    the splits 0^(n+1) . 1 and 0 . 1^(n+1).  The cut falls after a'
+    letters, a' the inverse of a modulo a+b.  Swapping the parts yields the
     upper Christoffel word.
     """
-    _require_coprime(a, b)
-    c = central_word(a, b)
-    parts = central_decompose(c)
-    if isinstance(parts, PowerOfLetter):
-        if parts.letter == "0":
-            return Factorization("0" * (parts.count + 1), "1", "palindromic")
-        return Factorization("0", "1" * (parts.count + 1), "palindromic")
-    return Factorization("0" + parts.p + "0", "1" + parts.q + "1", "palindromic")
+    cut, _ = period_inverses(a, b)
+    w = lower_christoffel(a, b)
+    return Factorization(w[:cut], w[cut:], "palindromic")
 
 
 def standard_factorization(a: int, b: int) -> Factorization:
@@ -179,48 +141,14 @@ def standard_factorization(a: int, b: int) -> Factorization:
 def christoffel_matrix(a: int, b: int) -> ChristoffelMatrix:
     """The (a+b) x (a+b) matrix of conjugates of the lower Christoffel word.
 
-    Column 1 is a zeros over b ones; each next column shifts the block of
-    ones up by b positions modulo a+b.  The rows come out as the sorted
-    conjugates, with repeats when gcd(a,b) > 1.
+    The rows are the rotations of c = lower_christoffel(a, b), taken as
+    slices of c + c, in sorted order, with repeats when gcd(a,b) > 1.  Read
+    by columns this is the defining table: column 1 is a zeros over b ones,
+    and each next column shifts the block of ones up by b positions modulo
+    a+b.
     """
     if a < 1 or b < 1:
         raise ValueError("matrix requires a >= 1 and b >= 1")
     n = a + b
-    rows = tuple(
-        "".join("1" if (i - 1 - a + j * b) % n < b else "0" for j in range(n))
-        for i in range(1, n + 1)
-    )
-    return ChristoffelMatrix(a, b, rows)
-
-
-def is_lower_christoffel(w: str) -> bool:
-    """True iff w equals the lower Christoffel word of its own Parikh vector."""
-    if not w:
-        return False
-    pv = parikh(w)
-    return w == lower_christoffel(pv.zeros, pv.ones)
-
-
-def is_primitive_lower_christoffel(w: str) -> bool:
-    if not w:
-        return False
-    pv = parikh(w)
-    return gcd(pv.zeros, pv.ones) == 1 and w == lower_christoffel(pv.zeros, pv.ones)
-
-
-def primitive_lower_christoffel_words(length: int) -> list[str]:
-    """All primitive lower Christoffel words of the given length, by increasing slope.
-
-    Increasing slope is also increasing lexicographic order.  There are
-    phi(length) of them for length >= 2, and both letters for length 1.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if length == 1:
-        return ["0", "1"]
-    return [
-        lower_christoffel(a, length - a)
-        for a in range(length - 1, 0, -1)
-        if gcd(a, length - a) == 1
-    ]
-
+    cc = lower_christoffel(a, b) * 2
+    return ChristoffelMatrix(a, b, tuple(sorted(cc[i : i + n] for i in range(n))))

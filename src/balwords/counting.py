@@ -63,20 +63,6 @@ class CountReport:
         }
 
 
-def prefix_height_lower(alpha: int, beta: int, k: int) -> int:
-    """Ones in the length-k prefix of the repeated lower Christoffel word."""
-    if k < 0:
-        raise ValueError("prefix length must be >= 0")
-    return beta * k // (alpha + beta)
-
-
-def prefix_height_upper(alpha: int, beta: int, k: int) -> int:
-    """Ones in the length-k prefix of the repeated upper Christoffel word."""
-    if k < 0:
-        raise ValueError("prefix length must be >= 0")
-    return -((-beta * k) // (alpha + beta))
-
-
 def _floor_sum(count: int, m: int, p: int, q: int) -> int:
     """Sum of (p*i + q) // m over 0 <= i < count, for count, p, q >= 0 and m >= 1.
 
@@ -152,16 +138,6 @@ def count_period_factors(alpha: int, beta: int, n: int) -> int:
     full count alpha+beta.
     """
     return _period_term(alpha, beta, n)[0]
-
-
-def count_heavy_occurrences(alpha: int, beta: int, n: int) -> int:
-    """Occurrences of heavy length-n factors in any window of alpha+beta+n-1
-    consecutive letters of the periodic word: n*beta mod (alpha+beta)."""
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"({alpha},{beta}) must be coprime")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return n * beta % (alpha + beta)
 
 
 def count_heavy_factors(alpha: int, beta: int, n: int) -> int:

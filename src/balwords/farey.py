@@ -79,10 +79,20 @@ def enumerate_plc(n: int) -> list[PlcEntry]:
 
 
 def farey_sequence(n: int) -> list[Fraction]:
-    """Reduced fractions a/b with 0 <= a <= b <= n, in increasing order."""
+    """Reduced fractions a/b with 0 <= a <= b <= n, in increasing order.
+
+    Walked from 0/1 and 1/n by the next-term recurrence: after consecutive
+    p/q < r/s comes (k*r - p)/(k*s - q) with k = (n + q) // s.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
-    return sorted({Fraction(a, b) for b in range(1, n + 1) for a in range(b + 1)})
+    out = [Fraction(0), Fraction(1, n)]
+    p, q, r, s = 0, 1, 1, n
+    while r < s:
+        k = (n + q) // s
+        p, q, r, s = r, s, k * r - p, k * s - q
+        out.append(Fraction(r, s))
+    return out
 
 
 def plc_farey_bijection(n: int) -> list[tuple[PlcEntry, Fraction]]:

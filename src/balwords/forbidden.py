@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .balance import is_balanced
-from .christoffel import (
-    lower_christoffel,
-    standard_factorization,
-    upper_christoffel,
-)
+from .christoffel import lower_christoffel, standard_factorization
 from .words import reversal
 
 
@@ -39,7 +35,8 @@ def enumerate_mf(n: int) -> list[MFWord]:
     """All minimal forbidden words of length n, sorted by word.
 
     Sources are the non-primitive lower and upper Christoffel words of
-    length n whose endpoints use both letters (a, b >= 1, gcd > 1).
+    length n whose endpoints use both letters (a, b >= 1, gcd > 1); each
+    upper word is the reversal of its lower one.
     """
     if n < 2:
         raise ValueError("minimal forbidden words have length >= 2")
@@ -48,7 +45,8 @@ def enumerate_mf(n: int) -> list[MFWord]:
         b = n - a
         if gcd(a, b) == 1:
             continue
-        for source in (lower_christoffel(a, b), upper_christoffel(a, b)):
+        lower = lower_christoffel(a, b)
+        for source in (lower, reversal(lower)):
             out.append(MFWord(_swap_ends(source), source, (source[0], source[-1])))
     dedup = {m.word: m for m in out}
     return [dedup[w] for w in sorted(dedup)]

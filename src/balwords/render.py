@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import digital_bar_bounds
+from .christoffel import lower_christoffel, upper_christoffel
 from .words import parikh
 
 
@@ -78,9 +78,8 @@ def render_ascii(spec: RenderSpec) -> str:
             grid[y][x] = v_char
 
     if spec.show_bar:
-        lower, upper = digital_bar_bounds(a, b)
-        paint(lower, ".", ".")
-        paint(upper, ".", ".")
+        paint(lower_christoffel(a, b), ".", ".")
+        paint(upper_christoffel(a, b), ".", ".")
     paint(spec.word, "_", "|")
 
     lines = ["".join(row).rstrip() for row in reversed(grid)]
@@ -118,9 +117,8 @@ def render_svg(spec: RenderSpec) -> str:
         x1, y1 = px(a, y)
         parts.append(f'  <line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#dddddd"/>')
     if spec.show_bar:
-        lower, upper = digital_bar_bounds(a, b)
-        parts.append(polyline(lower, 'stroke="#999999" stroke-width="2"'))
-        parts.append(polyline(upper, 'stroke="#999999" stroke-width="2"'))
+        parts.append(polyline(lower_christoffel(a, b), 'stroke="#999999" stroke-width="2"'))
+        parts.append(polyline(upper_christoffel(a, b), 'stroke="#999999" stroke-width="2"'))
     if spec.show_segment:
         x0, y0 = px(0, 0)
         x1, y1 = px(a, b)

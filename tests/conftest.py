@@ -4,25 +4,37 @@ The oracles here deliberately re-derive everything from first principles
 (definition-level scans, full enumeration) so they stay independent of
 the implementations they check.  The window and factor oracles for the
 counting formulas build on lower_christoffel, whose own oracle is
-lower_christoffel_arithmetic.
+lower_christoffel_arithmetic.  The structural predicates (periods and
+borders, special factors, factor classes, central splits) are used by
+the tests to check the paper's claims; no runtime code needs them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from balwords.balance import ImbalanceWitness, PrefixNormalWitness, RotationWitness, is_balanced
-from balwords.christoffel import lower_christoffel, period_inverses, upper_christoffel
-from balwords.counting import (
-    CountReport,
-    CountTerm,
-    _period_term,
-    count_period_factors,
-    prefix_height_upper,
+from balwords.balance import (
+    ImbalanceWitness,
+    PrefixNormalWitness,
+    RotationWitness,
+    _ones_prefix,
+    is_balanced,
 )
+from balwords.christoffel import is_central, lower_christoffel, period_inverses, upper_christoffel
+from balwords.counting import CountReport, CountTerm, _period_term, count_period_factors
 from balwords.forbidden import enumerate_mab, enumerate_mf
-from balwords.words import conjugates, has_period, is_lyndon, parikh, smallest_period
+from balwords.words import (
+    Parikh,
+    _require_nonempty,
+    conjugates,
+    is_lyndon,
+    is_palindrome,
+    parikh,
+    smallest_period,
+)
 
 
 def all_words(max_len: int, min_len: int = 0):
@@ -33,6 +45,41 @@ def all_words(max_len: int, min_len: int = 0):
             continue
         for bits in range(1 << n):
             yield format(bits, f"0{n}b")
+
+
+def has_period(w: str, p: int) -> bool:
+    """Whether p is a period of w; every p >= |w| is a period vacuously."""
+    _require_nonempty(w)
+    if p < 1:
+        raise ValueError("periods are positive")
+    n = len(w)
+    return p >= n or w[: n - p] == w[p:]
+
+
+def is_unbordered(w: str) -> bool:
+    """True iff the longest border of w is empty."""
+    _require_nonempty(w)
+    return smallest_period(w) == len(w)
+
+
+def is_primitive(w: str) -> bool:
+    """True iff w is not a proper power of a shorter word."""
+    _require_nonempty(w)
+    p = smallest_period(w)
+    return p == len(w) or len(w) % p != 0
+
+
+def two_palindrome_splits(w: str) -> list[int]:
+    """All positions p, 0 <= p <= |w|, where w[1..p] and w[p+1..] are both palindromes.
+
+    Nonempty exactly when w is a conjugate of its reversal.
+    """
+    _require_nonempty(w)
+    return [
+        p
+        for p in range(len(w) + 1)
+        if is_palindrome(w[:p]) and is_palindrome(w[p:])
+    ]
 
 
 def naive_is_balanced(w: str) -> bool:
@@ -121,6 +168,147 @@ def complement(w: str) -> str:
     return w.translate(str.maketrans("01", "10"))
 
 
+@dataclass(frozen=True)
+class FactorClass:
+    """The one or two Parikh vectors taken by the length-k factors of a balanced word."""
+
+    length: int
+    light: Parikh
+    heavy: Parikh | None = None
+
+
+def factor_classes(w: str) -> list[FactorClass]:
+    """Per-length Parikh classes of the factors of a balanced word.
+
+    For each k the factors take one or two Parikh vectors; the one with
+    fewer ones is light, the other (when present) heavy.  A single class
+    is reported as light.
+    """
+    if not is_balanced(w):
+        raise ValueError("factor classes are defined for balanced words only")
+    n = len(w)
+    ones = _ones_prefix(w)
+    out = [FactorClass(0, Parikh(0, 0))]
+    for k in range(1, n + 1):
+        counts = {ones[i + k] - ones[i] for i in range(n - k + 1)}
+        lo = min(counts)
+        light = Parikh(k - lo, lo)
+        if len(counts) == 1:
+            out.append(FactorClass(k, light))
+        else:
+            out.append(FactorClass(k, light, Parikh(k - lo - 1, lo + 1)))
+    return out
+
+
+def _require_balanced(v: str) -> None:
+    if not is_balanced(v):
+        raise ValueError("argument must be a balanced word")
+
+
+def is_right_special(v: str) -> bool:
+    """Whether both v0 and v1 are balanced."""
+    _require_balanced(v)
+    return is_balanced(v + "0") and is_balanced(v + "1")
+
+
+def is_left_special(v: str) -> bool:
+    """Whether both 0v and 1v are balanced."""
+    _require_balanced(v)
+    return is_balanced("0" + v) and is_balanced("1" + v)
+
+
+def is_bispecial(v: str) -> bool:
+    _require_balanced(v)
+    return is_left_special(v) and is_right_special(v)
+
+
+def is_strictly_bispecial(v: str) -> bool:
+    """Whether all four extensions 0v1, 1v0, 0v0, 1v1 are balanced."""
+    _require_balanced(v)
+    return all(is_balanced(x + v + y) for x in "01" for y in "01")
+
+
+def is_lower_christoffel(w: str) -> bool:
+    """True iff w equals the lower Christoffel word of its own Parikh vector."""
+    if not w:
+        return False
+    pv = parikh(w)
+    return w == lower_christoffel(pv.zeros, pv.ones)
+
+
+def is_primitive_lower_christoffel(w: str) -> bool:
+    if not w:
+        return False
+    pv = parikh(w)
+    return gcd(pv.zeros, pv.ones) == 1 and w == lower_christoffel(pv.zeros, pv.ones)
+
+
+def primitive_lower_christoffel_words(length: int) -> list[str]:
+    """All primitive lower Christoffel words of the given length, by increasing slope.
+
+    Increasing slope is also increasing lexicographic order.  There are
+    phi(length) of them for length >= 2, and both letters for length 1.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if length == 1:
+        return ["0", "1"]
+    return [
+        lower_christoffel(a, length - a)
+        for a in range(length - 1, 0, -1)
+        if gcd(a, length - a) == 1
+    ]
+
+
+@dataclass(frozen=True)
+class PowerOfLetter:
+    letter: str
+    count: int
+
+
+@dataclass(frozen=True)
+class CentralPair:
+    """The unique palindromes P, Q with C = P 01 Q = Q 10 P."""
+
+    p: str
+    q: str
+
+
+def central_decompose(c: str) -> PowerOfLetter | CentralPair:
+    """Split a central word as P 01 Q = Q 10 P, or report it as a letter power.
+
+    The pair (P, Q) is unique; finding two valid splits would be an
+    internal inconsistency.
+    """
+    if not is_central(c):
+        raise ValueError(f"{c!r} is not a central word")
+    if len(set(c)) <= 1:
+        return PowerOfLetter(c[0] if c else "0", len(c))
+    found = []
+    for i in range(len(c) - 1):
+        if c[i : i + 2] != "01":
+            continue
+        p, q = c[:i], c[i + 2 :]
+        if is_palindrome(p) and is_palindrome(q) and q + "10" + p == c:
+            found.append(CentralPair(p, q))
+    if len(found) != 1:
+        raise RuntimeError(f"expected exactly one P01Q split of {c!r}, found {len(found)}")
+    return found[0]
+
+
+def naive_christoffel_matrix(a: int, b: int) -> tuple[str, ...]:
+    """Oracle for christoffel_matrix: the rows of the table defined by columns.
+
+    Column 1 is a zeros over b ones; each next column shifts the block of
+    ones up by b positions modulo a+b.  Cell (i, j) is one modular test.
+    """
+    n = a + b
+    return tuple(
+        "".join("1" if (i - 1 - a + j * b) % n < b else "0" for j in range(n))
+        for i in range(1, n + 1)
+    )
+
+
 def naive_unbalance_witness(w: str) -> ImbalanceWitness | None:
     """The shortest palindrome v with both 0v0 and 1v1 in w, if any.
 
@@ -194,6 +382,30 @@ def periodic_window(alpha: int, beta: int, length: int, offset: int = 0) -> str:
     w = lower_christoffel(alpha, beta)
     reps = (offset + length) // len(w) + 2
     return (w * reps)[offset : offset + length]
+
+
+def prefix_height_lower(alpha: int, beta: int, k: int) -> int:
+    """Ones in the length-k prefix of the repeated lower Christoffel word."""
+    if k < 0:
+        raise ValueError("prefix length must be >= 0")
+    return beta * k // (alpha + beta)
+
+
+def prefix_height_upper(alpha: int, beta: int, k: int) -> int:
+    """Ones in the length-k prefix of the repeated upper Christoffel word."""
+    if k < 0:
+        raise ValueError("prefix length must be >= 0")
+    return -((-beta * k) // (alpha + beta))
+
+
+def count_heavy_occurrences(alpha: int, beta: int, n: int) -> int:
+    """Occurrences of heavy length-n factors in any window of alpha+beta+n-1
+    consecutive letters of the periodic word: n*beta mod (alpha+beta)."""
+    if gcd(alpha, beta) != 1:
+        raise ValueError(f"({alpha},{beta}) must be coprime")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return n * beta % (alpha + beta)
 
 
 def brute_period_factors(alpha: int, beta: int, n: int) -> set[str]:
@@ -302,6 +514,14 @@ def naive_plc_root(v: str) -> str:
         if (r * reps).startswith(v):
             return r
     raise ValueError(f"no primitive root found for {v!r}")
+
+
+def naive_farey_sequence(n: int) -> list[Fraction]:
+    """Oracle for farey_sequence: every a/b with 0 <= a <= b <= n, reduced,
+    deduplicated and sorted."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return sorted({Fraction(a, b) for b in range(1, n + 1) for a in range(b + 1)})
 
 
 def enumerate_mab_from_squares(max_len: int) -> list[str]:

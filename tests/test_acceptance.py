@@ -13,14 +13,20 @@ from math import gcd
 from pathlib import Path
 
 from conftest import (
+    CentralPair,
     all_words,
     brute_heavy_factors,
     brute_period_factors,
+    central_decompose,
+    count_heavy_occurrences,
     enumerate_mab_from_squares,
     euler_phi,
+    is_unbordered,
     lower_christoffel_arithmetic,
     max_balanced_lyndon,
     periodic_window,
+    prefix_height_lower,
+    prefix_height_upper,
 )
 
 from balwords.balance import (
@@ -31,6 +37,7 @@ from balwords.balance import (
 from balwords.christoffel import (
     christoffel_matrix,
     central_word,
+    is_central,
     lower_christoffel,
     palindromic_factorization,
     standard_factorization,
@@ -41,10 +48,7 @@ from balwords.counting import (
     count_balanced,
     count_balanced_report,
     count_heavy_factors,
-    count_heavy_occurrences,
     count_period_factors,
-    prefix_height_lower,
-    prefix_height_upper,
 )
 from balwords.farey import enumerate_plc, farey_sequence, plc_farey_bijection
 from balwords.forbidden import (
@@ -52,7 +56,7 @@ from balwords.forbidden import (
     enumerate_mf,
     is_minimal_forbidden,
 )
-from balwords.words import is_lyndon, is_unbordered, parikh, smallest_period
+from balwords.words import is_lyndon, parikh, smallest_period
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -244,8 +248,6 @@ def test_criterion_8_bar_containment_and_extremality():
 def test_criterion_9_structural_invariants():
     started = time.perf_counter()
     failures = []
-    from balwords.christoffel import central_decompose, is_central, CentralPair
-
     for w in all_words(14, min_len=1):
         a, b = parikh(w)
         chris = gcd(a, b) == 1 and w in (lower_christoffel(a, b), upper_christoffel(a, b))

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FactorClass,
     all_words,
+    factor_classes,
+    is_bispecial,
+    is_left_special,
+    is_lower_christoffel,
+    is_right_special,
+    is_strictly_bispecial,
     max_balanced_lyndon,
     naive_is_balanced,
     naive_is_plc,
@@ -19,24 +26,18 @@ from conftest import (
 )
 
 from balwords.balance import (
-    FactorClass,
     bar_witness,
     enumerate_balanced,
-    factor_classes,
     in_digital_bar,
     is_balanced,
-    is_bispecial,
     is_christoffel_prefix,
     is_circularly_balanced,
-    is_left_special,
     is_prefix_normal,
-    is_right_special,
-    is_strictly_bispecial,
     prefix_normal_witness,
     rotation_witness,
     unbalance_witness,
 )
-from balwords.christoffel import is_central, is_lower_christoffel, lower_christoffel
+from balwords.christoffel import is_central, lower_christoffel
 from balwords.counting import brute_balanced_words
 from balwords.words import Parikh, conjugates, parikh
 

@@ -4,29 +4,31 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    CentralPair,
+    PowerOfLetter,
     all_words,
+    central_decompose,
     euler_phi,
+    is_primitive_lower_christoffel,
+    is_unbordered,
     lower_christoffel_arithmetic,
+    naive_christoffel_matrix,
     naive_is_balanced,
     naive_is_central,
+    primitive_lower_christoffel_words,
 )
 
 from balwords.christoffel import (
-    CentralPair,
-    PowerOfLetter,
-    central_decompose,
     central_word,
     christoffel_matrix,
     is_central,
-    is_primitive_lower_christoffel,
     lower_christoffel,
     period_inverses,
     palindromic_factorization,
-    primitive_lower_christoffel_words,
     standard_factorization,
     upper_christoffel,
 )
-from balwords.words import conjugates, is_lyndon, is_palindrome, is_unbordered, reversal
+from balwords.words import conjugates, is_lyndon, is_palindrome, reversal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -196,13 +198,21 @@ def test_standard_factorization_properties():
 
 
 def test_standard_factorization_matches_central_split():
-    # For interior P 01 Q the parts are 0Q1 and 0P1.
+    # For interior P 01 Q the standard parts are 0Q1 and 0P1, the
+    # palindromic ones 0P0 and 1Q1; a letter-power interior 0^k or 1^k
+    # splits palindromically as 0^(k+1) . 1 or 0 . 1^(k+1).
     for a, b in coprime_pairs(30):
         parts = central_decompose(central_word(a, b))
         f = standard_factorization(a, b)
+        pal = palindromic_factorization(a, b)
         if isinstance(parts, CentralPair):
             assert f.left == "0" + parts.q + "1"
             assert f.right == "0" + parts.p + "1"
+            assert (pal.left, pal.right) == ("0" + parts.p + "0", "1" + parts.q + "1")
+        elif parts.letter == "0":
+            assert (pal.left, pal.right) == ("0" * (parts.count + 1), "1")
+        else:
+            assert (pal.left, pal.right) == ("0", "1" * (parts.count + 1))
 
 
 def test_christoffel_matrix_reproduces_known_table():
@@ -231,6 +241,7 @@ def test_christoffel_matrix_rows_are_sorted_conjugates():
             assert m.rows[-1] == upper_christoffel(a, b)
             # the whole multiset of conjugates, repeats included, in sorted order
             assert m.rows == tuple(sorted(conjugates(w)))
+            assert m.rows == naive_christoffel_matrix(a, b)
             assert (len(set(m.rows)) == a + b) == (gcd(a, b) == 1)
 
 

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from conftest import (
     brute_heavy_factors,
     brute_period_factors,
+    count_heavy_occurrences,
     euler_phi,
     naive_count_balanced_report,
     naive_heavy_factors,
     periodic_window,
+    prefix_height_lower,
+    prefix_height_upper,
     term_ranges,
 )
 
@@ -27,10 +30,7 @@ from balwords.counting import (
     count_balanced,
     count_balanced_report,
     count_heavy_factors,
-    count_heavy_occurrences,
     count_period_factors,
-    prefix_height_lower,
-    prefix_height_upper,
     walk_terms,
 )
 from balwords.words import parikh, smallest_period

@@ -4,10 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_words, euler_phi, naive_plc_root
+from conftest import (
+    all_words,
+    euler_phi,
+    is_left_special,
+    is_primitive,
+    is_unbordered,
+    naive_farey_sequence,
+    naive_plc_root,
+    primitive_lower_christoffel_words,
+)
 
-from balwords.balance import is_balanced, is_left_special, prefix_normal_witness
-from balwords.christoffel import lower_christoffel, primitive_lower_christoffel_words
+from balwords.balance import is_balanced, prefix_normal_witness
+from balwords.christoffel import lower_christoffel
 from balwords import farey
 from balwords.farey import (
     PlcEntry,
@@ -17,7 +26,6 @@ from balwords.farey import (
     plc_farey_bijection,
     plc_root,
 )
-from balwords.words import is_primitive, is_unbordered
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,9 +156,13 @@ def test_sizes_match_totient_sums():
     total = 1
     for n in range(1, 201):
         total += euler_phi(n)
-        if n <= 50:
-            assert len(farey_sequence(n)) == total
+        assert len(farey_sequence(n)) == total
         assert len(enumerate_plc(n)) == total
+
+
+def test_farey_sequence_matches_the_sorted_set():
+    for n in range(1, 61):
+        assert farey_sequence(n) == naive_farey_sequence(n)
 
 
 def test_bijection_pairs_known_values():

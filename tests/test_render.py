@@ -38,6 +38,14 @@ def test_ascii_bar_overlay_keeps_word_path_on_top():
     assert "." in art and "_" in art and "|" in art
 
 
+def test_ascii_bar_draws_both_boundary_words():
+    # On the lower word the dots trace the upper boundary, and vice versa.
+    lower = "\n".join(["     ..", "   ..._|", " ...__|", "..__|", "__|"])
+    upper = "\n".join(["     __", "   __|..", " __|...", "_|...", "|.."])
+    assert render_ascii(RenderSpec("00100100101", show_bar=True)) == lower
+    assert render_ascii(RenderSpec("10100100100", show_bar=True)) == upper
+
+
 def test_ascii_rejects_segment():
     with pytest.raises(ValueError):
         render_ascii(RenderSpec("01", show_segment=True))

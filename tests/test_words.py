@@ -2,24 +2,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_words, is_conjugate_of_reversal, naive_is_lyndon, naive_smallest_period
+from conftest import (
+    all_words,
+    has_period,
+    is_conjugate_of_reversal,
+    is_primitive,
+    is_unbordered,
+    naive_is_lyndon,
+    naive_smallest_period,
+    two_palindrome_splits,
+)
 
 from balwords.words import (
     Parikh,
     check_word,
     conjugates,
-    factor,
-    factors_of_length,
-    has_period,
     is_lyndon,
     is_palindrome,
-    is_primitive,
-    is_unbordered,
     parikh,
     periods,
     reversal,
     smallest_period,
-    two_palindrome_splits,
 )
 
 binary_words = st.text(alphabet="01", max_size=16)
@@ -43,27 +46,6 @@ def test_check_word_rejects_other_letters():
     assert check_word("") == ""
     with pytest.raises(ValueError):
         check_word("01a1")
-
-
-def test_factor_is_one_based_inclusive():
-    assert factor("00100100101", 1, 3) == "001"
-    assert factor("00100100101", 2, 10) == "010010010"
-    assert factor("0", 1, 1) == "0"
-
-
-@pytest.mark.parametrize("i,j", [(0, 2), (3, 2), (1, 6), (2, 9)])
-def test_factor_rejects_bad_indices(i, j):
-    with pytest.raises(ValueError):
-        factor("01010", i, j)
-
-
-def test_factors_of_length():
-    assert factors_of_length("0101", 2) == {"01", "10"}
-    assert factors_of_length("00100100101", 11) == {"00100100101"}
-    assert factors_of_length("000101", 3) == {"000", "001", "010", "101"}
-    assert factors_of_length("0101", 0) == {""}
-    with pytest.raises(ValueError):
-        factors_of_length("01", 3)
 
 
 def test_smallest_period_known_values():
