@@ -143,16 +143,15 @@ def is_circularly_balanced(w: str) -> bool:
     return rotation_witness(w) is None
 
 
-def christoffel_prefix_slope(w: str) -> tuple[int, int] | None:
-    """(p, q): the least slope p/q, in lowest terms, of a lower Christoffel
-    word whose powers start with w; None when there is none.
+def is_christoffel_prefix(w: str) -> bool:
+    """Whether w is a prefix of a (possibly non-primitive) lower Christoffel word.
 
-    With h_i the number of ones in the length-i prefix, the slopes r with
-    h_i = floor(i*r) for every i form the interval [max h_i/i, min (h_i+1)/i),
-    1 <= i <= |w|.  One pass keeps both extremes as fractions and compares
-    them by cross-multiplication.  The maximum p/q is first reached at
-    i = q, and only a strictly larger value replaces it, so it is kept in
-    lowest terms.
+    These are the words that are both balanced and prefix normal.  With h_i
+    the number of ones in the length-i prefix, they are the words for which
+    the slopes r with h_i = floor(i*r) for every i, the interval
+    [max h_i/i, min (h_i+1)/i) over 1 <= i <= |w|, is nonempty.  One pass
+    keeps both extremes as fractions, compares them by cross-multiplication
+    and stops at the first prefix that empties the interval.
     """
     lo_num, lo_den = 0, 1  # max h_i/i so far
     hi_num, hi_den = 1, 0  # min (h_i+1)/i so far, starting at infinity
@@ -165,16 +164,8 @@ def christoffel_prefix_slope(w: str) -> tuple[int, int] | None:
         if (h + 1) * hi_den < hi_num * i:
             hi_num, hi_den = h + 1, i
         if lo_num * hi_den >= hi_num * lo_den:
-            return None
-    return lo_num, lo_den
-
-
-def is_christoffel_prefix(w: str) -> bool:
-    """Whether w is a prefix of a (possibly non-primitive) lower Christoffel word.
-
-    These are the words that are both balanced and prefix normal.
-    """
-    return christoffel_prefix_slope(w) is not None
+            return False
+    return True
 
 
 def prefix_normal_witness(w: str) -> PrefixNormalWitness | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import periods, reversal
+from .words import parikh, reversal
 
 
 @dataclass(frozen=True)
@@ -78,26 +78,18 @@ def upper_christoffel(a: int, b: int) -> str:
 def central_word(a: int, b: int) -> str:
     """Interior C of the primitive lower Christoffel word 0C1."""
     _require_coprime(a, b)
-    if a + b < 2:
-        raise ValueError("central word requires a+b >= 2")
     return lower_christoffel(a, b)[1:-1]
 
 
 def is_central(w: str) -> bool:
-    """True iff w has coprime periods p, q with p + q = |w| + 2.
+    """True iff 0w1 is a primitive lower Christoffel word.
 
-    Periods >= |w| count vacuously, so the empty word (p=q=1) and letter
-    powers qualify.  The periods below |w| come from one border chain.
+    Equivalently, w has coprime periods p, q with p + q = |w| + 2, so the
+    empty word and letter powers qualify.
     """
-    n = len(w)
-    if n == 0:
-        return True
-    found = set(periods(w))
-    for p in range(1, n // 2 + 2):
-        q = n + 2 - p
-        if gcd(p, q) == 1 and (p >= n or p in found) and (q >= n or q in found):
-            return True
-    return False
+    u = "0" + w + "1"
+    a, b = parikh(u)
+    return gcd(a, b) == 1 and lower_christoffel(a, b) == u
 
 
 def period_inverses(a: int, b: int) -> tuple[int, int]:

@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--audit", action="store_true", help="emit the per-term JSON breakdown")
     p_count.add_argument("--oracle", action="store_true", help="also run the brute-force oracle and compare")
 
-    p_enum = sub.add_parser("enum", parents=[common], help="enumerate a family of words")
+    # The family parsers own --json/--output, so they follow the family.
+    p_enum = sub.add_parser("enum", help="enumerate a family of words")
     enum_sub = p_enum.add_subparsers(dest="family", required=True)
     e_bal = enum_sub.add_parser("balanced", parents=[common], help="balanced words with a zeros and b ones")
     e_bal.add_argument("a", type=int)

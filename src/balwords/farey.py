@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import christoffel_prefix_slope, is_christoffel_prefix
-from .christoffel import lower_christoffel
+from .balance import is_christoffel_prefix
+from .words import smallest_period
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,12 @@ def is_plc(w: str) -> bool:
 def plc_root(v: str) -> str:
     """The primitive lower Christoffel word whose infinite power v prefixes.
 
-    The slopes of the lower Christoffel words whose powers start with v form
-    an interval [p/q, r/s) whose ends are consecutive fractions of
-    denominator at most |v|, the breakpoints of floor(i*x) for i <= |v|.  So
-    its lower end p/q has the least denominator in it, and the root is the
-    Christoffel word of that slope, the shortest one.
+    The length of any such word is a period of v, and the prefix of v whose
+    length is the smallest period is already one, so it is the root.
     """
-    if not v:
-        raise ValueError("the empty word is not classified")
-    slope = christoffel_prefix_slope(v)
-    if slope is None:
+    if not is_plc(v):
         raise ValueError(f"{v!r} is not a prefix of a lower Christoffel word")
-    p, q = slope
-    return lower_christoffel(q - p, p)
+    return v[: smallest_period(v)]
 
 
 def enumerate_plc(n: int) -> list[PlcEntry]:

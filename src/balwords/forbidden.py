@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .balance import is_balanced
 from .christoffel import lower_christoffel, standard_factorization
-from .words import reversal
+from .words import parikh, reversal
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,20 @@ def enumerate_mf(n: int) -> list[MFWord]:
 
 
 def is_minimal_forbidden(w: str) -> bool:
-    """Whether w is unbalanced while both maximal proper factors are balanced.
+    """Whether w is unbalanced while all its proper factors are balanced.
 
-    Checking the prefix and the suffix suffices because balance is a
-    factorial property.
+    This reads ``enumerate_mf`` backwards.  Swapping the end letters keeps
+    the Parikh vector (a, b), so w is minimal forbidden iff its ends differ
+    (then a, b >= 1), gcd(a, b) > 1, and the swapped word is the lower
+    Christoffel word of (a, b) or its reversal.
     """
     if not w:
         raise ValueError("empty word cannot be minimal forbidden")
-    return not is_balanced(w) and is_balanced(w[:-1]) and is_balanced(w[1:])
+    a, b = parikh(w)
+    if w[0] == w[-1] or gcd(a, b) == 1:
+        return False
+    lower = lower_christoffel(a, b)
+    return _swap_ends(w) in (lower, reversal(lower))
 
 
 def enumerate_mab(max_len: int) -> list[str]:

@@ -39,11 +39,11 @@ def parikh(w: str) -> Parikh:
     return Parikh(len(w) - ones, ones)
 
 
-def periods(w: str) -> list[int]:
-    """Every period p of w with 1 <= p <= |w|, increasing.
+def smallest_period(w: str) -> int:
+    """Least p >= 1 with w[i] = w[i+p] for all valid i; |w| iff unbordered.
 
-    The periods are |w| minus the borders of w, read off the KMP failure
-    function's border chain in O(|w|).
+    This is |w| minus the longest border of w, read off the KMP failure
+    function in O(|w|).
     """
     _require_nonempty(w)
     n = len(w)
@@ -55,18 +55,7 @@ def periods(w: str) -> list[int]:
         if w[i] == w[k]:
             k += 1
         border[i + 1] = k
-    out = []
-    k = border[n]
-    while k:
-        out.append(n - k)
-        k = border[k]
-    out.append(n)
-    return out
-
-
-def smallest_period(w: str) -> int:
-    """Least p >= 1 with w[i] = w[i+p] for all valid i; |w| iff unbordered."""
-    return periods(w)[0]
+    return n - border[n]
 
 
 def conjugates(w: str) -> list[str]:

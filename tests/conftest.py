@@ -149,6 +149,12 @@ def naive_is_central(w: str) -> bool:
     return False
 
 
+def naive_is_minimal_forbidden(w: str) -> bool:
+    """Unbalanced while both maximal proper factors are balanced; balance is
+    factorial, so that makes every proper factor balanced."""
+    return not is_balanced(w) and is_balanced(w[:-1]) and is_balanced(w[1:])
+
+
 def naive_is_lyndon(w: str) -> bool:
     """Primitive and strictly least among its rotations, over all conjugates."""
     rots = conjugates(w)

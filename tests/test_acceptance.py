@@ -24,6 +24,7 @@ from conftest import (
     is_unbordered,
     lower_christoffel_arithmetic,
     max_balanced_lyndon,
+    naive_is_minimal_forbidden,
     periodic_window,
     prefix_height_lower,
     prefix_height_upper,
@@ -169,7 +170,13 @@ def test_criterion_5_minimal_forbidden_brute_force():
     started = time.perf_counter()
     failures = []
     for n in range(2, 19):
-        brute = {w for w in all_words(n, min_len=n) if is_minimal_forbidden(w)}
+        brute = set()
+        for w in all_words(n, min_len=n):
+            found = naive_is_minimal_forbidden(w)
+            if is_minimal_forbidden(w) != found:
+                failures.append(("predicate", w))
+            if found:
+                brute.add(w)
         listed = {m.word for m in enumerate_mf(n)}
         if brute != listed:
             failures.append((n, len(brute), len(listed)))

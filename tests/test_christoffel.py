@@ -111,6 +111,14 @@ def test_is_central_matches_the_period_loop_exhaustively():
         assert is_central(w) == naive_is_central(w)
 
 
+def test_is_central_at_scale():
+    # naive_is_central would test up to 5*10^4 period pairs here, each in O(n).
+    w = central_word(61803, 100000)
+    assert is_central(w)
+    flipped = w[:80000] + ("1" if w[80000] == "0" else "0") + w[80001:]
+    assert not is_central(flipped)
+
+
 def test_central_words_are_palindromes():
     for w in all_words(12):
         if is_central(w):

@@ -169,6 +169,21 @@ def test_enum_caps_and_force(capsys):
     assert main(["enum", "balanced", "20", "20"]) == 2
 
 
+def test_enum_options_follow_the_family(tmp_path, capsys):
+    target = tmp_path / "plc.txt"
+    for argv in (["enum", "--json", "balanced", "3", "2"], ["enum", "--output", str(target), "plc", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert not target.exists()
+    code, out = run(["enum", "balanced", "3", "2", "--json"], capsys)
+    assert (code, json.loads(out)) == (0, ["00101", "01001", "01010", "10001", "10010", "10100"])
+    assert main(["enum", "plc", "3", "--output", str(target)]) == 0
+    assert target.read_text() == "000\n001\n010\n011\n111\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_internal_check_failure_exits_1(monkeypatch, capsys):
     from balwords import farey
 

@@ -96,7 +96,7 @@ def test_plc_root_well_defined():
     for n in range(1, 25):
         for entry in enumerate_plc(n):
             root = entry.root
-            # plc_root reads the word's slope interval; the walk never calls it.
+            # plc_root cuts the word at its smallest period; the walk never calls it.
             assert root == plc_root(entry.word)
             p, q = entry.fraction.numerator, entry.fraction.denominator
             assert root == lower_christoffel(q - p, p)

@@ -1,9 +1,19 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import all_words, complement, enumerate_mab_from_squares, euler_phi, mab_subset_check
+from conftest import (
+    all_words,
+    complement,
+    enumerate_mab_from_squares,
+    euler_phi,
+    mab_subset_check,
+    naive_is_minimal_forbidden,
+)
 
+from balwords.christoffel import lower_christoffel
 from balwords.forbidden import (
     enumerate_mab,
     enumerate_mf,
@@ -15,7 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def brute_minimal_forbidden(n: int) -> set[str]:
-    return {w for w in all_words(n, min_len=n) if is_minimal_forbidden(w)}
+    return {w for w in all_words(n, min_len=n) if naive_is_minimal_forbidden(w)}
 
 
 def test_enumerate_mf_length_six():
@@ -50,6 +60,37 @@ def test_is_minimal_forbidden_known_words():
     assert not is_minimal_forbidden("0101")
     with pytest.raises(ValueError):
         is_minimal_forbidden("")
+
+
+@st.composite
+def flipped_swapped_christoffel_powers(draw):
+    """The lower or upper Christoffel word of (k*p, k*q), k >= 2, with its
+    ends swapped and 0-2 letters flipped."""
+    p = draw(st.integers(1, 30))
+    q = draw(st.integers(1, 30))
+    k = draw(st.integers(2, 6))
+    source = lower_christoffel(k * p, k * q)
+    if draw(st.booleans()):
+        source = source[::-1]
+    letters = list(source[-1] + source[1:-1] + source[0])
+    for i in draw(st.lists(st.integers(0, len(letters) - 1), max_size=2)):
+        letters[i] = "1" if letters[i] == "0" else "0"
+    return "".join(letters)
+
+
+@given(flipped_swapped_christoffel_powers())
+def test_is_minimal_forbidden_matches_the_definition(w):
+    assert is_minimal_forbidden(w) == naive_is_minimal_forbidden(w)
+
+
+def test_is_minimal_forbidden_at_scale():
+    # The definition's balance scans are quadratic; 10^5 letters is one
+    # Christoffel word compared.
+    source = lower_christoffel(61802, 100000)
+    w = source[-1] + source[1:-1] + source[0]
+    assert is_minimal_forbidden(w)
+    flipped = w[:80000] + ("1" if w[80000] == "0" else "0") + w[80001:]
+    assert not is_minimal_forbidden(flipped)
 
 
 def test_enumerate_mf_matches_brute_force():
@@ -96,4 +137,4 @@ def test_mab_words_are_minimal_forbidden():
 def test_mab_words_come_from_squares_only():
     for w in enumerate_mab(16):
         assert len(w) % 2 == 0
-        assert is_minimal_forbidden(w)
+        assert naive_is_minimal_forbidden(w)

@@ -20,7 +20,6 @@ from balwords.words import (
     is_lyndon,
     is_palindrome,
     parikh,
-    periods,
     reversal,
     smallest_period,
 )
@@ -59,14 +58,6 @@ def test_smallest_period_known_values():
 def test_smallest_period_matches_naive_scan_exhaustively():
     for w in all_words(16, min_len=1):
         assert smallest_period(w) == naive_smallest_period(w)
-
-
-def test_periods_are_every_period_in_order():
-    assert periods("010010") == [3, 5, 6]
-    assert periods("0000") == [1, 2, 3, 4]
-    for w in all_words(12, min_len=1):
-        expected = [p for p in range(1, len(w) + 1) if w[: len(w) - p] == w[p:]]
-        assert periods(w) == expected
 
 
 def test_period_border_duality():
