@@ -4,8 +4,11 @@ A lower Christoffel word encodes the tightest lattice path from (0,0) to
 (a,b) that stays weakly below the straight segment between those points
 ('0' = unit step right, '1' = unit step up); the upper word is its
 reversal and runs weakly above.  Central words are the palindromic
-interiors of the primitive ones.  Every other object here is cut or
-rotated from the lower word: both factorizations cut it after a' or b'
+interiors of the primitive ones.  The primitive lower words are the nodes
+of the Christoffel tree, and each node's standard factorization is the
+pair of nodes it was made from (Berstel, Lauve, Reutenauer, Saliola 2008).
+One descent of that tree builds the lower word together with its standard
+factorization; the palindromic factorization cuts the same word after a'
 letters, and the conjugate matrix holds its sorted rotations.
 """
 
@@ -56,18 +59,46 @@ def _require_coprime(a: int, b: int) -> None:
         raise ValueError(f"({a},{b}) must be coprime")
 
 
+def _standard_pair(a: int, b: int) -> tuple[str, str]:
+    """Standard factorization (u, v) of the lower Christoffel word of coprime a, b >= 1.
+
+    Descends the Christoffel tree from the root pair ('0', '1'), keeping
+    the images u, v of 0 and 1 under the morphisms passed so far and the
+    endpoint (x, y) still to reach.  A step toward more zeros maps
+    1 -> 01 (v = u v, x -= y), one toward more ones maps 0 -> 01
+    (u = u v, y -= x); a run of k equal steps is one string repeat, so the
+    descent takes one Euclid step per partial quotient.  It ends at
+    (1, 1), whose word is 01, so u v is the word of (a, b).
+    """
+    u, v = "0", "1"
+    x, y = a, b
+    while x != y:
+        if x > y:
+            k = (x - 1) // y
+            v = u * k + v
+            x -= k * y
+        else:
+            k = (y - 1) // x
+            u = u + v * k
+            y -= k * x
+    return u, v
+
+
 def lower_christoffel(a: int, b: int) -> str:
     """Lower Christoffel word with a zeros and b ones.
 
-    Letter k is '1' exactly when the segment height floor(k*b/(a+b)) rises
-    at step k; for gcd(a,b)=g the result is the g-th power of the
-    primitive word of the reduced slope.
+    A letter power when a or b is 0; otherwise, for gcd(a,b)=g, the g-th
+    power of the primitive word u v of (a/g, b/g), built by the Christoffel
+    tree descent of ``_standard_pair``.  The defining letter formula (letter
+    k is '1' exactly when floor(k*b/(a+b)) rises at step k) is the test
+    oracle.
     """
     _require_endpoint(a, b)
-    n = a + b
-    return "".join(
-        "1" if (k * b) // n > ((k - 1) * b) // n else "0" for k in range(1, n + 1)
-    )
+    if a == 0 or b == 0:
+        return "0" * a + "1" * b
+    g = gcd(a, b)
+    u, v = _standard_pair(a // g, b // g)
+    return (u + v) * g
 
 
 def upper_christoffel(a: int, b: int) -> str:
@@ -110,24 +141,27 @@ def palindromic_factorization(a: int, b: int) -> Factorization:
 
     For 0C1 with C = P01Q this is 0P0 . 1Q1; letter-power interiors give
     the splits 0^(n+1) . 1 and 0 . 1^(n+1).  The cut falls after a'
-    letters, a' the inverse of a modulo a+b.  Swapping the parts yields the
-    upper Christoffel word.
+    letters, a' the inverse of a modulo a+b, which is the length of the
+    right part of the standard factorization.  Swapping the parts yields
+    the upper Christoffel word.
     """
-    cut, _ = period_inverses(a, b)
-    w = lower_christoffel(a, b)
-    return Factorization(w[:cut], w[cut:], "palindromic")
+    _require_coprime(a, b)
+    u, v = _standard_pair(a, b)
+    w = u + v
+    return Factorization(w[: len(v)], w[len(v) :], "palindromic")
 
 
 def standard_factorization(a: int, b: int) -> Factorization:
     """Split the primitive lower Christoffel word before its least proper suffix.
 
     Both parts are again primitive lower Christoffel words (for 0C1 with
-    C = P01Q the parts are 0Q1 and 0P1).  The cut falls after b' letters,
-    b' the inverse of b modulo a+b.
+    C = P01Q the parts are 0Q1 and 0P1): they are the two nodes of the
+    Christoffel tree that the word's node was made from, read off the
+    descent of ``_standard_pair``.  The cut falls after b' letters, b' the
+    inverse of b modulo a+b.
     """
-    _, cut = period_inverses(a, b)
-    w = lower_christoffel(a, b)
-    return Factorization(w[:cut], w[cut:], "standard")
+    _require_coprime(a, b)
+    return Factorization(*_standard_pair(a, b), "standard")
 
 
 def christoffel_matrix(a: int, b: int) -> ChristoffelMatrix:

@@ -5,7 +5,8 @@ Swapping the first and last letters of a non-primitive Christoffel word
 (one boundary letter of each kind) produces exactly the words that are
 unbalanced while all their proper factors are balanced.  Restricting the
 source to squares gives the minimal almost-balanced words, which also
-arise as u^2 v^2 over standard factorizations.
+arise as u^2 v^2 over standard factorizations, read off the Christoffel
+tree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .christoffel import lower_christoffel, standard_factorization
+from .christoffel import lower_christoffel
 from .words import parikh, reversal
 
 
@@ -72,18 +73,22 @@ def enumerate_mab(max_len: int) -> list[str]:
     """All minimal almost-balanced words of length <= max_len, sorted.
 
     Generated as u^2 v^2 and its reversal over the standard factorization
-    u v of each primitive lower Christoffel word.
+    u v of each primitive lower Christoffel word with both letters.  Those
+    pairs are the nodes of the Christoffel tree: the root is ('0', '1') and
+    (u, v) has children (u, uv) and (uv, v), each longer, so the walk
+    prunes a node whose word u^2 v^2 is longer than max_len.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     out = set()
-    for m in range(2, max_len // 2 + 1):
-        for a in range(1, m):
-            b = m - a
-            if gcd(a, b) != 1:
-                continue
-            f = standard_factorization(a, b)
-            w = f.left * 2 + f.right * 2
-            out.add(w)
-            out.add(reversal(w))
+    pairs = [("0", "1")]
+    while pairs:
+        u, v = pairs.pop()
+        uv = u + v
+        if 2 * len(uv) > max_len:
+            continue
+        w = u + uv + v
+        out.add(w)
+        out.add(w[::-1])
+        pairs += [(u, uv), (uv, v)]
     return sorted(out)

@@ -3,10 +3,11 @@
 The oracles here deliberately re-derive everything from first principles
 (definition-level scans, full enumeration) so they stay independent of
 the implementations they check.  The window and factor oracles for the
-counting formulas build on lower_christoffel, whose own oracle is
-lower_christoffel_arithmetic.  The structural predicates (periods and
-borders, special factors, factor classes, central splits) are used by
-the tests to check the paper's claims; no runtime code needs them.
+counting formulas build on lower_christoffel, whose own oracles are the
+letter formula naive_lower_christoffel and lower_christoffel_arithmetic.
+The structural predicates (periods and borders, special factors, factor
+classes, central splits) are used by the tests to check the paper's
+claims; no runtime code needs them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from balwords.balance import (
     _ones_prefix,
     is_balanced,
 )
-from balwords.christoffel import is_central, lower_christoffel, period_inverses, upper_christoffel
+from balwords.christoffel import (
+    Factorization,
+    is_central,
+    lower_christoffel,
+    period_inverses,
+    upper_christoffel,
+)
 from balwords.counting import CountReport, CountTerm, _period_term, count_period_factors
 from balwords.forbidden import enumerate_mab, enumerate_mf
 from balwords.words import (
@@ -369,6 +376,37 @@ def max_balanced_lyndon(a: int, b: int) -> str:
     return best
 
 
+def naive_lower_christoffel(a: int, b: int) -> str:
+    """Oracle for lower_christoffel: the defining letter formula.
+
+    Letter k is '1' exactly when the segment height floor(k*b/(a+b)) rises
+    at step k; for gcd(a,b)=g the result is the g-th power of the
+    primitive word of the reduced slope.
+    """
+    if a < 0 or b < 0 or a == b == 0:
+        raise ValueError(f"({a},{b}) has no Christoffel word")
+    n = a + b
+    return "".join(
+        "1" if (k * b) // n > ((k - 1) * b) // n else "0" for k in range(1, n + 1)
+    )
+
+
+def naive_standard_factorization(a: int, b: int) -> Factorization:
+    """Oracle for standard_factorization: the letter-formula word cut after
+    b' letters, b' the inverse of b modulo a+b."""
+    _, cut = period_inverses(a, b)
+    w = naive_lower_christoffel(a, b)
+    return Factorization(w[:cut], w[cut:], "standard")
+
+
+def naive_palindromic_factorization(a: int, b: int) -> Factorization:
+    """Oracle for palindromic_factorization: the letter-formula word cut
+    after a' letters, a' the inverse of a modulo a+b."""
+    cut, _ = period_inverses(a, b)
+    w = naive_lower_christoffel(a, b)
+    return Factorization(w[:cut], w[cut:], "palindromic")
+
+
 def lower_christoffel_arithmetic(a: int, b: int) -> str:
     """Primitive lower Christoffel word via the sorted-multiples construction.
 
@@ -528,6 +566,24 @@ def naive_farey_sequence(n: int) -> list[Fraction]:
     if n < 1:
         raise ValueError("order must be >= 1")
     return sorted({Fraction(a, b) for b in range(1, n + 1) for a in range(b + 1)})
+
+
+def naive_enumerate_mab(max_len: int) -> list[str]:
+    """Oracle for enumerate_mab: u^2 v^2 and its reversal over the standard
+    factorization of every coprime (a, b) with 2(a+b) <= max_len."""
+    if max_len < 2:
+        raise ValueError("max_len must be >= 2")
+    out = set()
+    for m in range(2, max_len // 2 + 1):
+        for a in range(1, m):
+            b = m - a
+            if gcd(a, b) != 1:
+                continue
+            f = naive_standard_factorization(a, b)
+            w = f.left * 2 + f.right * 2
+            out.add(w)
+            out.add(w[::-1])
+    return sorted(out)
 
 
 def enumerate_mab_from_squares(max_len: int) -> list[str]:

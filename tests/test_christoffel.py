@@ -2,6 +2,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import (
     CentralPair,
@@ -15,6 +17,9 @@ from conftest import (
     naive_christoffel_matrix,
     naive_is_balanced,
     naive_is_central,
+    naive_lower_christoffel,
+    naive_palindromic_factorization,
+    naive_standard_factorization,
     primitive_lower_christoffel_words,
 )
 
@@ -56,6 +61,23 @@ def test_lower_christoffel_of_multiple_is_a_power():
     for a, b in coprime_pairs(12):
         for g in range(2, 4):
             assert lower_christoffel(g * a, g * b) == lower_christoffel(a, b) * g
+
+
+def test_lower_christoffel_matches_the_letter_formula_exhaustively():
+    for a in range(121):
+        for b in range(121):
+            if a or b:
+                assert lower_christoffel(a, b) == naive_lower_christoffel(a, b)
+
+
+@given(st.integers(0, 20000), st.integers(0, 20000))
+def test_lower_christoffel_matches_the_letter_formula(a, b):
+    assume(a or b)
+    assert lower_christoffel(a, b) == naive_lower_christoffel(a, b)
+
+
+def test_lower_christoffel_matches_the_letter_formula_at_scale():
+    assert lower_christoffel(61802, 100000) == naive_lower_christoffel(61802, 100000)
 
 
 def test_arithmetic_construction_known_words():
@@ -203,6 +225,12 @@ def test_standard_factorization_properties():
         assert f.right == min(w[i:] for i in range(1, len(w)))
         # part lengths are again the two inverse periods
         assert sorted((len(f.left), len(f.right))) == sorted(period_inverses(a, b))
+
+
+def test_factorizations_match_the_cut_oracles():
+    for a, b in coprime_pairs(200):
+        assert standard_factorization(a, b) == naive_standard_factorization(a, b)
+        assert palindromic_factorization(a, b) == naive_palindromic_factorization(a, b)
 
 
 def test_standard_factorization_matches_central_split():

@@ -20,6 +20,7 @@ GOLDEN_COMMANDS = {
     "enum_plc_5.txt": ["enum", "plc", "5"],
     "enum_farey_5.txt": ["enum", "farey", "5"],
     "enum_mf_6.txt": ["enum", "mf", "6"],
+    "enum_mab_12.txt": ["enum", "mab", "12"],
     "render_7_4.txt": ["render", "00100100101"],
     "render_7_4_bar.svg": ["render", "00100100101", "--format", "svg", "--bar", "--segment"],
 }

@@ -10,6 +10,7 @@ from conftest import (
     enumerate_mab_from_squares,
     euler_phi,
     mab_subset_check,
+    naive_enumerate_mab,
     naive_is_minimal_forbidden,
 )
 
@@ -127,6 +128,11 @@ def test_enumerate_mab_known_members():
 def test_mab_generators_agree():
     for max_len in range(2, 17):
         assert enumerate_mab(max_len) == enumerate_mab_from_squares(max_len)
+
+
+def test_enumerate_mab_matches_the_factorization_loop():
+    for max_len in range(2, 81):
+        assert enumerate_mab(max_len) == naive_enumerate_mab(max_len)
 
 
 def test_mab_words_are_minimal_forbidden():
