@@ -9,7 +9,9 @@ of the Christoffel tree, and each node's standard factorization is the
 pair of nodes it was made from (Berstel, Lauve, Reutenauer, Saliola 2008).
 One descent of that tree builds the lower word together with its standard
 factorization; the palindromic factorization cuts the same word after a'
-letters, and the conjugate matrix holds its sorted rotations.
+letters, and the conjugate matrix holds its sorted rotations.  One
+in-order walk of the tree lists the nodes by slope, for the prefix and
+almost-balanced enumerations.
 """
 
 from __future__ import annotations
@@ -82,6 +84,28 @@ def _standard_pair(a: int, b: int) -> tuple[str, str]:
             u = u + v * k
             y -= k * x
     return u, v
+
+
+def _christoffel_tree(n: int):
+    """Yield the standard pair (u, v) of every primitive lower Christoffel
+    word with both letters and |uv| <= n, by increasing slope.
+
+    In-order walk of the Christoffel tree from the root ('0', '1') with an
+    explicit stack: the child (u, uv) of a node lies below it in slope and
+    (uv, v) above it, and a node longer than n ends its branch, since its
+    descendants are longer still.
+    """
+    stack = []
+    u, v = "0", "1"
+    while True:
+        while len(u) + len(v) <= n:
+            stack.append((u, v))
+            v = u + v
+        if not stack:
+            return
+        u, v = stack.pop()
+        yield u, v
+        u = u + v
 
 
 def lower_christoffel(a: int, b: int) -> str:

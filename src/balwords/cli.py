@@ -1,9 +1,9 @@
 """Command-line interface: gen, check, count, enum, render.
 
 Exit codes: 0 success (checked property holds), 1 checked property fails,
-oracle disagreement or failed internal self-check, 2 invalid input or an
---output path that cannot be written.  All words are read and written as
-strings of '0' and '1'.
+oracle disagreement or failed internal self-check, 2 invalid input or
+output that cannot be written (an --output path or a closed stdout).  All
+words are read and written as strings of '0' and '1'.
 
 `check balanced|circular|prefix-normal|in-bar` call the balance module's
 witness scan and, when the property fails, print the witness's fields
@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from fractions import Fraction
 
 from . import balance, christoffel, counting, farey, forbidden, render, words
 
@@ -27,10 +27,6 @@ ORACLE_CAP = 20
 def _check_cap(value: int, force: bool, what: str) -> None:
     if value > ENUM_CAP and not force:
         raise ValueError(f"{what}={value} exceeds the cap {ENUM_CAP}; pass --force to override")
-
-
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,18 +179,10 @@ def _cmd_enum(args) -> tuple[str, int]:
         return (json.dumps(items) if args.json else "\n".join(items)), 0
     # farey
     _check_cap(args.n, args.force, "n")
-    pairs = farey.plc_farey_bijection(args.n)
+    rows = [(e, f"{f.numerator}/{f.denominator}") for e, f in farey.plc_farey_bijection(args.n)]
     if args.json:
-        return (
-            json.dumps(
-                [
-                    {"word": e.word, "root": e.root, "fraction": _fraction_str(f)}
-                    for e, f in pairs
-                ]
-            ),
-            0,
-        )
-    return "\n".join(f"{e.word}  {_fraction_str(f)}" for e, f in pairs), 0
+        return json.dumps([{"word": e.word, "root": e.root, "fraction": f} for e, f in rows]), 0
+    return "\n".join(f"{e.word}  {f}" for e, f in rows), 0
 
 
 def _cmd_render(args) -> tuple[str, int]:
@@ -226,15 +214,18 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:  # an internal self-check failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not args.output:
+            # stdout is closed: point it at devnull so the exit-time flush stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -178,30 +178,38 @@ def _neighbours(order: int, u: int, v: int) -> tuple[int, int, int, int]:
     return p, q, r, s
 
 
+def _farey_walk(order: int, u: int, v: int, x: int, y: int):
+    """Yield (p, q, r, s) for each fraction p/q of denominator <= order in
+    (u/v, x/y], in increasing order, with r/s its successor.
+
+    Starts at the neighbours of u/v and steps by the next-term recurrence:
+    after consecutive p/q < r/s comes (k*r - p)/(k*s - q) with
+    k = (order + q) // s.  Consecutive fractions satisfy r*q - p*s = 1, so
+    every yielded pair is in lowest terms.
+    """
+    p, q, r, s = _neighbours(order, u, v)
+    while r * y <= x * s:
+        k = (order + q) // s
+        p, q, r, s = r, s, k * r - p, k * s - q
+        yield p, q, r, s
+
+
 def walk_terms(a: int, b: int):
     """Yield (alpha, beta, alpha', beta', kind) for every term of the (a, b) count.
 
     Heavy terms are the fractions beta/alpha with alpha <= a in
     ((b-1)/(a+1), b/a], light terms the fractions alpha/beta with beta <= b
-    in ((a-1)/(b+1), a/b]; needs a, b >= 1.  Each interval is walked in
-    increasing order from the Farey neighbours of its open left end, by the
-    next-term recurrence for consecutive fractions p/q < r/s of denominator
-    at most the order.  Neighbours satisfy r*q - p*s = 1, so the walk yields
-    exactly the coprime pairs, and with q = -p (mod m), m = p+q, the
+    in ((a-1)/(b+1), a/b]; needs a, b >= 1.  Each interval is walked by
+    ``_farey_walk``, which yields exactly the coprime pairs, each with its
+    successor r/s.  As r*q - p*s = 1 and q = -p (mod m), m = p+q, the
     successor gives p's inverse -(r+s) mod m; alpha' + beta' = m.
     """
-    walks = ((a, b - 1, a + 1, b, a, "heavy"), (b, a - 1, b + 1, a, b, "light"))
-    for order, u, v, x, y, kind in walks:
-        p, q, r, s = _neighbours(order, u, v)
-        while r * y <= x * s:
-            k = (order + q) // s
-            p, q, r, s = r, s, k * r - p, k * s - q
-            m = p + q
-            inv = -(r + s) % m
-            if kind == "heavy":
-                yield q, p, m - inv, inv, kind
-            else:
-                yield p, q, inv, m - inv, kind
+    for p, q, r, s in _farey_walk(a, b - 1, a + 1, b, a):
+        inv = -(r + s) % (p + q)
+        yield q, p, p + q - inv, inv, "heavy"
+    for p, q, r, s in _farey_walk(b, a - 1, b + 1, a, b):
+        inv = -(r + s) % (p + q)
+        yield p, q, inv, p + q - inv, "light"
 
 
 def count_balanced_report(a: int, b: int) -> CountReport:

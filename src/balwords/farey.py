@@ -8,8 +8,10 @@ is iff some slope r has h_i = floor(i*r) for every prefix
 order, are the length-n prefixes of the powers of the primitive lower
 Christoffel words of the Farey fractions of order n, in increasing order
 (Berstel, Lauve, Reutenauer, Saliola 2008); the word of p/q has root
-ones(root)/|root| = p/q.  The enumeration builds them by walking the
-Farey sequence through the Christoffel tree.
+ones(root)/|root| = p/q.  The enumeration walks the Christoffel tree
+(``christoffel._christoffel_tree``) and the Farey sequence is walked by its
+next-term recurrence (``counting._farey_walk``); the bijection checks the
+two independent walks against each other.
 """
 
 from __future__ import annotations
@@ -18,14 +20,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balance import is_christoffel_prefix
+from .christoffel import _christoffel_tree
+from .counting import _farey_walk
 from .words import smallest_period
 
 
 @dataclass(frozen=True)
 class PlcEntry:
+    """A length-n prefix word and the primitive lower Christoffel word it repeats."""
+
     word: str
     root: str
-    fraction: Fraction
+
+    @property
+    def fraction(self) -> Fraction:
+        """The root's Farey fraction ones(root)/|root|."""
+        return Fraction(self.root.count("1"), len(self.root))
 
 
 def is_plc(w: str) -> bool:
@@ -49,63 +59,52 @@ def plc_root(v: str) -> str:
 def enumerate_plc(n: int) -> list[PlcEntry]:
     """All length-n prefixes of lower Christoffel words, in lexicographic order.
 
-    Walks the Farey fractions of order n in increasing order through the
-    Christoffel tree: the root of a mediant (p+r)/(q+s) of neighbours p/q
-    and r/s is the concatenation of their roots, starting from '0' for 0/1
-    and '1' for 1/1.  The stack holds the right neighbours still to come; a
-    mediant whose denominator exceeds n is not in F_n, so the top is next.
-    Each entry's word is the length-n prefix of its root repeated.
+    The roots are '0', then the primitive lower Christoffel words u v with
+    both letters and |uv| <= n in increasing slope, read off the in-order
+    walk of the Christoffel tree, then '1'; their fractions are the Farey
+    fractions of order n in increasing order.  Each entry's word is the
+    length-n prefix of its root repeated.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    out = [PlcEntry("0" * n, "0", Fraction(0))]
-    left_p, left_q, left_root = 0, 1, "0"
-    rights = [(1, 1, "1")]
-    while rights:
-        p, q, root = rights[-1]
-        if left_q + q <= n:
-            rights.append((left_p + p, left_q + q, left_root + root))
-        else:
-            left_p, left_q, left_root = rights.pop()
-            out.append(PlcEntry((root * (n // q + 1))[:n], root, Fraction(p, q)))
+    out = [PlcEntry("0" * n, "0")]
+    for u, v in _christoffel_tree(n):
+        root = u + v
+        out.append(PlcEntry((root * (n // len(root) + 1))[:n], root))
+    out.append(PlcEntry("1" * n, "1"))
     return out
 
 
 def farey_sequence(n: int) -> list[Fraction]:
     """Reduced fractions a/b with 0 <= a <= b <= n, in increasing order.
 
-    Walked from 0/1 and 1/n by the next-term recurrence: after consecutive
-    p/q < r/s comes (k*r - p)/(k*s - q) with k = (n + q) // s.
+    0/1, then the fractions of (0/1, 1/1] walked by ``counting._farey_walk``.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    out = [Fraction(0), Fraction(1, n)]
-    p, q, r, s = 0, 1, 1, n
-    while r < s:
-        k = (n + q) // s
-        p, q, r, s = r, s, k * r - p, k * s - q
-        out.append(Fraction(r, s))
-    return out
+    return [Fraction(0)] + [Fraction(p, q) for p, q, _, _ in _farey_walk(n, 0, 1, 1, 1)]
 
 
 def plc_farey_bijection(n: int) -> list[tuple[PlcEntry, Fraction]]:
     """Pair the i-th length-n prefix word with the i-th Farey fraction.
 
     The positional pairing must agree with the primitive-root fraction of
-    every entry; disagreement is an internal error.
+    every entry, compared as (ones, length) against the walked (p, q);
+    disagreement is an internal error.
     """
     entries = enumerate_plc(n)
-    fractions = farey_sequence(n)
-    if len(entries) != len(fractions):
+    walk = [(0, 1)] + [(p, q) for p, q, _, _ in _farey_walk(n, 0, 1, 1, 1)]
+    if len(entries) != len(walk):
         raise RuntimeError(
-            f"size mismatch at n={n}: {len(entries)} words vs {len(fractions)} fractions"
+            f"size mismatch at n={n}: {len(entries)} words vs {len(walk)} fractions"
         )
-    for entry, frac in zip(entries, fractions):
-        if entry.fraction != frac:
+    pairs = [(entry, Fraction(p, q)) for entry, (p, q) in zip(entries, walk)]
+    for entry, frac in pairs:
+        if (entry.root.count("1"), len(entry.root)) != (frac.numerator, frac.denominator):
             raise RuntimeError(
                 f"order mismatch at n={n}: {entry.word} maps to {entry.fraction}, expected {frac}"
             )
     for prev, entry in zip(entries, entries[1:]):
         if prev.word >= entry.word:
             raise RuntimeError(f"order mismatch at n={n}: {prev.word} does not precede {entry.word}")
-    return list(zip(entries, fractions))
+    return pairs

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .christoffel import lower_christoffel
+from .christoffel import _christoffel_tree, lower_christoffel
 from .words import parikh, reversal
 
 
@@ -73,22 +73,14 @@ def enumerate_mab(max_len: int) -> list[str]:
     """All minimal almost-balanced words of length <= max_len, sorted.
 
     Generated as u^2 v^2 and its reversal over the standard factorization
-    u v of each primitive lower Christoffel word with both letters.  Those
-    pairs are the nodes of the Christoffel tree: the root is ('0', '1') and
-    (u, v) has children (u, uv) and (uv, v), each longer, so the walk
-    prunes a node whose word u^2 v^2 is longer than max_len.
+    u v of each primitive lower Christoffel word with both letters and
+    |uv| <= max_len // 2, read off the walk of the Christoffel tree.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     out = set()
-    pairs = [("0", "1")]
-    while pairs:
-        u, v = pairs.pop()
-        uv = u + v
-        if 2 * len(uv) > max_len:
-            continue
-        w = u + uv + v
+    for u, v in _christoffel_tree(max_len // 2):
+        w = u + u + v + v
         out.add(w)
         out.add(w[::-1])
-        pairs += [(u, uv), (uv, v)]
     return sorted(out)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from conftest import (
 )
 
 from balwords.christoffel import (
+    _christoffel_tree,
     central_word,
     christoffel_matrix,
     is_central,
@@ -299,6 +301,19 @@ def test_primitive_lower_christoffel_census():
         assert len(set(ws)) == euler_phi(n)
         for w in ws:
             assert is_primitive_lower_christoffel(w)
+
+
+def test_christoffel_tree_walk_lists_the_standard_pairs_by_slope():
+    words = []
+    for n in range(1, 31):
+        if n > 1:
+            words += primitive_lower_christoffel_words(n)
+        pairs = list(_christoffel_tree(n))
+        by_slope = sorted(words, key=lambda w: Fraction(w.count("1"), len(w)))
+        assert [u + v for u, v in pairs] == by_slope
+    for u, v in pairs:
+        f = standard_factorization((u + v).count("0"), (u + v).count("1"))
+        assert (u, v) == (f.left, f.right)
 
 
 def test_reversal_duality():

@@ -1,13 +1,14 @@
 import json
+import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import euler_phi
 
+import balwords
 from balwords.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,7 +190,8 @@ def test_enum_options_follow_the_family(tmp_path, capsys):
 def test_internal_check_failure_exits_1(monkeypatch, capsys):
     from balwords import farey
 
-    monkeypatch.setattr(farey, "farey_sequence", lambda n: [Fraction(0), Fraction(1)])
+    # The walk yields only 1/1, so the bijection sees 2 fractions against 11 words.
+    monkeypatch.setattr(farey, "_farey_walk", lambda order, u, v, x, y: iter([(1, 1, 2, 1)]))
     assert main(["enum", "farey", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -221,14 +223,36 @@ def test_output_flag_unwritable_path_exits_2(target, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _child_env():
+    """The caller's environment with PYTHONPATH set to the imported package's tree."""
+    return {**os.environ, "PYTHONPATH": str(Path(balwords.__file__).resolve().parents[1])}
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "balwords", "count", "5", "3"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "balwords", "enum", "plc", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+    )
+    proc.stdout.close()  # before the child can start writing
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_render_command(capsys):

@@ -24,6 +24,7 @@ from balwords.christoffel import period_inverses
 from balwords import counting
 from balwords.counting import (
     CountTerm,
+    _farey_walk,
     _floor_sum,
     _neighbours,
     brute_count_balanced,
@@ -206,6 +207,13 @@ def test_neighbours_bracket_the_point_in_the_bounded_farey_set():
                 i = bisect_right(fractions, Fraction(u, v))
                 assert (Fraction(p, q), Fraction(r, s)) == (fractions[i - 1], fractions[i])
                 assert q <= order and s <= order and r * q - p * s == 1
+                for x, y in ((u + 1, v), (2 * u + 1, 2 * v), (u, v)):
+                    j = bisect_right(fractions, Fraction(x, y))
+                    walked = list(_farey_walk(order, u, v, x, y))
+                    assert all(n * c - m * d == 1 for m, c, n, d in walked)
+                    assert [(Fraction(m, c), Fraction(n, d)) for m, c, n, d in walked] == list(
+                        zip(fractions[i:j], fractions[i + 1 : j + 1])
+                    )
 
 
 def _walked_pairs(a, b):

@@ -174,13 +174,29 @@ def test_bijection_pairs_known_values():
     assert pairs[4][0].word == "00101" and pairs[4][1] == Fraction(2, 5)
 
 
+def test_plc_entry_fraction_is_read_off_the_root():
+    entry = PlcEntry("00101", "00101")
+    assert entry.fraction == Fraction(2, 5)
+    assert PlcEntry("00010", "0001").fraction == Fraction(1, 4)
+    assert entry == PlcEntry("00101", "00101") and hash(entry) == hash(PlcEntry("00101", "00101"))
+    assert entry != PlcEntry("00101", "01")
+
+
 def test_bijection_rejects_words_out_of_lexicographic_order(monkeypatch):
     entries = enumerate_plc(5)
     first, second = entries[1], entries[2]
-    entries[1] = PlcEntry(second.word, first.root, first.fraction)
-    entries[2] = PlcEntry(first.word, second.root, second.fraction)
+    entries[1] = PlcEntry(second.word, first.root)
+    entries[2] = PlcEntry(first.word, second.root)
     monkeypatch.setattr(farey, "enumerate_plc", lambda n: entries)
     with pytest.raises(RuntimeError, match="does not precede"):
+        plc_farey_bijection(5)
+
+
+def test_bijection_rejects_a_root_off_its_farey_fraction(monkeypatch):
+    entries = enumerate_plc(5)
+    entries[1], entries[2] = entries[2], entries[1]
+    monkeypatch.setattr(farey, "enumerate_plc", lambda n: entries)
+    with pytest.raises(RuntimeError, match=r"^order mismatch at n=5: 00010 maps to 1/4, expected 1/5$"):
         plc_farey_bijection(5)
 
 
