@@ -87,25 +87,26 @@ def _standard_pair(a: int, b: int) -> tuple[str, str]:
 
 
 def _christoffel_tree(n: int):
-    """Yield the standard pair (u, v) of every primitive lower Christoffel
-    word with both letters and |uv| <= n, by increasing slope.
+    """Yield the standard pair (u, v) and the word uv of every primitive
+    lower Christoffel word with both letters and |uv| <= n, by increasing
+    slope.
 
     In-order walk of the Christoffel tree from the root ('0', '1') with an
     explicit stack: the child (u, uv) of a node lies below it in slope and
     (uv, v) above it, and a node longer than n ends its branch, since its
-    descendants are longer still.
+    descendants are longer still.  Each node's word is built once.
     """
     stack = []
-    u, v = "0", "1"
+    u, v, w = "0", "1", "01"
     while True:
-        while len(u) + len(v) <= n:
-            stack.append((u, v))
-            v = u + v
+        while len(w) <= n:
+            stack.append((u, v, w))
+            v, w = w, u + w
         if not stack:
             return
-        u, v = stack.pop()
-        yield u, v
-        u = u + v
+        u, v, w = stack.pop()
+        yield u, v, w
+        u, w = w, w + v
 
 
 def lower_christoffel(a: int, b: int) -> str:

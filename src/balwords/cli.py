@@ -3,7 +3,10 @@
 Exit codes: 0 success (checked property holds), 1 checked property fails,
 oracle disagreement or failed internal self-check, 2 invalid input or
 output that cannot be written (an --output path or a closed stdout).  All
-words are read and written as strings of '0' and '1'.
+words are read and written as strings of '0' and '1'.  Each handler returns
+the lines to write, and each line ends in a newline: text mode writes one
+line per item, so an empty listing writes nothing, while the empty word is
+one empty line; JSON is one line, `[]` for an empty listing.
 
 `check balanced|circular|prefix-normal|in-bar` call the balance module's
 witness scan and, when the property fails, print the witness's fields
@@ -85,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> tuple[str, int]:
+def _cmd_gen(args) -> tuple[list[str], int]:
     if args.kind == "matrix":
         m = christoffel.christoffel_matrix(args.a, args.b)
         if args.json:
-            return json.dumps({"a": m.a, "b": m.b, "rows": list(m.rows)}), 0
-        return m.as_text(), 0
+            return [json.dumps({"a": m.a, "b": m.b, "rows": list(m.rows)})], 0
+        return [m.as_text()], 0
     builders = {
         "lower": christoffel.lower_christoffel,
         "upper": christoffel.upper_christoffel,
@@ -98,11 +101,11 @@ def _cmd_gen(args) -> tuple[str, int]:
     }
     word = builders[args.kind](args.a, args.b)
     if args.json:
-        return json.dumps({"kind": args.kind, "a": args.a, "b": args.b, "word": word}), 0
-    return word, 0
+        return [json.dumps({"kind": args.kind, "a": args.a, "b": args.b, "word": word})], 0
+    return [word], 0
 
 
-def _cmd_check(args) -> tuple[str, int]:
+def _cmd_check(args) -> tuple[list[str], int]:
     w = words.check_word(args.word)
     scans = {
         "balanced": balance.unbalance_witness,
@@ -127,15 +130,15 @@ def _cmd_check(args) -> tuple[str, int]:
 
     if args.json:
         payload = {"property": args.property, "word": w, "holds": holds, "witness": witness}
-        return json.dumps(payload), 0 if holds else 1
+        return [json.dumps(payload)], 0 if holds else 1
     text = f"{args.property}: {'yes' if holds else 'no'}"
     if witness is not None:
         detail = ", ".join(f"{k}={v!r}" for k, v in witness.items())
         text += f" ({detail})"
-    return text, 0 if holds else 1
+    return [text], 0 if holds else 1
 
 
-def _cmd_count(args) -> tuple[str, int]:
+def _cmd_count(args) -> tuple[list[str], int]:
     report = counting.count_balanced_report(args.a, args.b) if args.audit or args.json else None
     total = report.total if report is not None else counting.count_balanced(args.a, args.b)
     code = 0
@@ -149,43 +152,41 @@ def _cmd_count(args) -> tuple[str, int]:
         if oracle_total is not None:
             payload["oracle"] = oracle_total
             payload["agrees"] = oracle_total == total
-        return json.dumps(payload, indent=2), code
+        return [json.dumps(payload, indent=2)], code
     if oracle_total is not None:
         status = "ok" if code == 0 else "MISMATCH"
-        return f"formula={total} oracle={oracle_total} {status}", code
-    return str(total), code
+        return [f"formula={total} oracle={oracle_total} {status}"], code
+    return [str(total)], code
 
 
-def _cmd_enum(args) -> tuple[str, int]:
+def _cmd_enum(args) -> tuple[list[str], int]:
     if args.family == "balanced":
         _check_cap(args.a + args.b, args.force, "a+b")
         items = balance.enumerate_balanced(args.a, args.b)
-        return (json.dumps(items) if args.json else "\n".join(items)), 0
+        return ([json.dumps(items)] if args.json else items), 0
     if args.family == "plc":
         _check_cap(args.n, args.force, "n")
-        entries = farey.enumerate_plc(args.n)
-        if args.json:
-            return json.dumps([e.word for e in entries]), 0
-        return "\n".join(e.word for e in entries), 0
+        items = [e.word for e in farey.enumerate_plc(args.n)]
+        return ([json.dumps(items)] if args.json else items), 0
     if args.family == "mf":
         _check_cap(args.n, args.force, "n")
         found = forbidden.enumerate_mf(args.n)
         if args.json:
-            return json.dumps([{"word": m.word, "source": m.source} for m in found]), 0
-        return "\n".join(m.word for m in found), 0
+            return [json.dumps([{"word": m.word, "source": m.source} for m in found])], 0
+        return [m.word for m in found], 0
     if args.family == "mab":
         _check_cap(args.max_len, args.force, "max_len")
         items = forbidden.enumerate_mab(args.max_len)
-        return (json.dumps(items) if args.json else "\n".join(items)), 0
+        return ([json.dumps(items)] if args.json else items), 0
     # farey
     _check_cap(args.n, args.force, "n")
     rows = [(e, f"{f.numerator}/{f.denominator}") for e, f in farey.plc_farey_bijection(args.n)]
     if args.json:
-        return json.dumps([{"word": e.word, "root": e.root, "fraction": f} for e, f in rows]), 0
-    return "\n".join(f"{e.word}  {f}" for e, f in rows), 0
+        return [json.dumps([{"word": e.word, "root": e.root, "fraction": f} for e, f in rows])], 0
+    return [f"{e.word}  {f}" for e, f in rows], 0
 
 
-def _cmd_render(args) -> tuple[str, int]:
+def _cmd_render(args) -> tuple[list[str], int]:
     spec = render.RenderSpec(
         word=words.check_word(args.word),
         show_bar=args.bar,
@@ -193,7 +194,7 @@ def _cmd_render(args) -> tuple[str, int]:
         format=args.format,
         cell_size=args.cell_size,
     )
-    return render.render(spec), 0
+    return [render.render(spec)], 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,19 +208,21 @@ def main(argv: list[str] | None = None) -> int:
         "render": _cmd_render,
     }
     try:
-        text, code = handlers[args.command](args)
+        lines, code = handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # an internal self-check failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = "".join(line + "\n" for line in lines)
     try:
         if args.output:
             with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         else:
-            print(text, flush=True)
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         if not args.output:
             # stdout is closed: point it at devnull so the exit-time flush stays quiet.

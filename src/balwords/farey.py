@@ -16,8 +16,8 @@ two independent walks against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .balance import is_christoffel_prefix
 from .christoffel import _christoffel_tree
@@ -25,9 +25,11 @@ from .counting import _farey_walk
 from .words import smallest_period
 
 
-@dataclass(frozen=True)
-class PlcEntry:
-    """A length-n prefix word and the primitive lower Christoffel word it repeats."""
+class PlcEntry(NamedTuple):
+    """A length-n prefix word and the primitive lower Christoffel word it repeats.
+
+    A named tuple, so it compares equal to the plain tuple (word, root).
+    """
 
     word: str
     root: str
@@ -68,8 +70,7 @@ def enumerate_plc(n: int) -> list[PlcEntry]:
     if n < 1:
         raise ValueError("length must be >= 1")
     out = [PlcEntry("0" * n, "0")]
-    for u, v in _christoffel_tree(n):
-        root = u + v
+    for _, _, root in _christoffel_tree(n):
         out.append(PlcEntry((root * (n // len(root) + 1))[:n], root))
     out.append(PlcEntry("1" * n, "1"))
     return out
@@ -89,22 +90,21 @@ def plc_farey_bijection(n: int) -> list[tuple[PlcEntry, Fraction]]:
     """Pair the i-th length-n prefix word with the i-th Farey fraction.
 
     The positional pairing must agree with the primitive-root fraction of
-    every entry, compared as (ones, length) against the walked (p, q);
-    disagreement is an internal error.
+    every entry, compared as (ones, length) against the walked (p, q)
+    before any ``Fraction`` is built; disagreement is an internal error.
     """
     entries = enumerate_plc(n)
-    walk = [(0, 1)] + [(p, q) for p, q, _, _ in _farey_walk(n, 0, 1, 1, 1)]
+    walk = [(0, 1, 1, n), *_farey_walk(n, 0, 1, 1, 1)]
     if len(entries) != len(walk):
         raise RuntimeError(
             f"size mismatch at n={n}: {len(entries)} words vs {len(walk)} fractions"
         )
-    pairs = [(entry, Fraction(p, q)) for entry, (p, q) in zip(entries, walk)]
-    for entry, frac in pairs:
-        if (entry.root.count("1"), len(entry.root)) != (frac.numerator, frac.denominator):
+    for entry, (p, q, _, _) in zip(entries, walk):
+        if (entry.root.count("1"), len(entry.root)) != (p, q):
             raise RuntimeError(
-                f"order mismatch at n={n}: {entry.word} maps to {entry.fraction}, expected {frac}"
+                f"order mismatch at n={n}: {entry.word} maps to {entry.fraction}, expected {Fraction(p, q)}"
             )
     for prev, entry in zip(entries, entries[1:]):
         if prev.word >= entry.word:
             raise RuntimeError(f"order mismatch at n={n}: {prev.word} does not precede {entry.word}")
-    return pairs
+    return [(entry, Fraction(p, q)) for entry, (p, q, _, _) in zip(entries, walk)]

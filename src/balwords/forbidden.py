@@ -6,25 +6,33 @@ Swapping the first and last letters of a non-primitive Christoffel word
 unbalanced while all their proper factors are balanced.  Restricting the
 source to squares gives the minimal almost-balanced words, which also
 arise as u^2 v^2 over standard factorizations, read off the Christoffel
-tree.
+tree.  Both enumerations build their words already in lexicographic
+order, each word once; a final ``list.sort`` keeps the order a contract
+rather than an argument, at the cost of one linear pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .christoffel import _christoffel_tree, lower_christoffel
 from .words import parikh, reversal
 
 
-@dataclass(frozen=True)
-class MFWord:
-    """A minimal forbidden word together with the Christoffel word it was made from."""
+class MFWord(NamedTuple):
+    """A minimal forbidden word together with the Christoffel word it was made from.
+
+    A named tuple, so it compares equal to the plain tuple (word, source).
+    """
 
     word: str
     source: str
-    swap: tuple[str, str]  # (first, last) letters of the source
+
+    @property
+    def swap(self) -> tuple[str, str]:
+        """The (first, last) letters of the source, which the word has swapped."""
+        return self.source[0], self.source[-1]
 
 
 def _swap_ends(source: str) -> str:
@@ -36,20 +44,21 @@ def enumerate_mf(n: int) -> list[MFWord]:
 
     Sources are the non-primitive lower and upper Christoffel words of
     length n whose endpoints use both letters (a, b >= 1, gcd > 1); each
-    upper word is the reversal of its lower one.
+    upper word is the reversal of its lower one.  Two sources never give
+    the same word: the Parikh vector (a, b) or the first letter differs.
+    The words are built in order: the upper-sourced ones (first letter 0)
+    and then the lower-sourced ones (first letter 1), each in the order
+    a = n-1, ..., 1, that is by increasing slope b/a.  The final sort finds
+    them in order (the tests check every n < 400) and so takes one pass.
     """
     if n < 2:
         raise ValueError("minimal forbidden words have length >= 2")
-    out = []
-    for a in range(1, n):
-        b = n - a
-        if gcd(a, b) == 1:
-            continue
-        lower = lower_christoffel(a, b)
-        for source in (lower, reversal(lower)):
-            out.append(MFWord(_swap_ends(source), source, (source[0], source[-1])))
-    dedup = {m.word: m for m in out}
-    return [dedup[w] for w in sorted(dedup)]
+    lowers = [lower_christoffel(a, n - a) for a in range(n - 1, 0, -1) if gcd(a, n) > 1]
+    # A lower word runs 0...1 and its reversal 1...0; each source's word has its ends swapped.
+    out = [MFWord("0" + lower[-2:0:-1] + "1", lower[::-1]) for lower in lowers]
+    out += [MFWord("1" + lower[1:-1] + "0", lower) for lower in lowers]
+    out.sort()
+    return out
 
 
 def is_minimal_forbidden(w: str) -> bool:
@@ -72,15 +81,16 @@ def is_minimal_forbidden(w: str) -> bool:
 def enumerate_mab(max_len: int) -> list[str]:
     """All minimal almost-balanced words of length <= max_len, sorted.
 
-    Generated as u^2 v^2 and its reversal over the standard factorization
-    u v of each primitive lower Christoffel word with both letters and
-    |uv| <= max_len // 2, read off the walk of the Christoffel tree.
+    Generated as u^2 v^2 over the standard factorization u v of each
+    primitive lower Christoffel word with both letters and
+    |uv| <= max_len // 2, read off the walk of the Christoffel tree by
+    increasing slope, followed by their reversals.  No word occurs twice,
+    since the Parikh vector 2(a, b) or the first letter differs, and the
+    walk already lists each half in order; the final sort only confirms it.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
-    out = set()
-    for u, v in _christoffel_tree(max_len // 2):
-        w = u + u + v + v
-        out.add(w)
-        out.add(w[::-1])
-    return sorted(out)
+    out = [u + u + v + v for u, v, _ in _christoffel_tree(max_len // 2)]
+    out += [w[::-1] for w in out]
+    out.sort()
+    return out

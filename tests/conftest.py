@@ -32,7 +32,7 @@ from balwords.christoffel import (
     upper_christoffel,
 )
 from balwords.counting import CountReport, CountTerm, _period_term, count_period_factors
-from balwords.forbidden import enumerate_mab, enumerate_mf
+from balwords.forbidden import MFWord, enumerate_mab, enumerate_mf
 from balwords.words import (
     Parikh,
     _require_nonempty,
@@ -566,6 +566,24 @@ def naive_farey_sequence(n: int) -> list[Fraction]:
     if n < 1:
         raise ValueError("order must be >= 1")
     return sorted({Fraction(a, b) for b in range(1, n + 1) for a in range(b + 1)})
+
+
+def naive_enumerate_mf(n: int) -> list[MFWord]:
+    """Oracle for enumerate_mf: swap the end letters of the lower Christoffel
+    word of every (a, n-a) with a, n-a >= 1 and gcd > 1 and of its reversal,
+    deduplicated by word and sorted."""
+    if n < 2:
+        raise ValueError("minimal forbidden words have length >= 2")
+    out = []
+    for a in range(1, n):
+        b = n - a
+        if gcd(a, b) == 1:
+            continue
+        lower = lower_christoffel(a, b)
+        for source in (lower, lower[::-1]):
+            out.append(MFWord(source[-1] + source[1:-1] + source[0], source))
+    dedup = {m.word: m for m in out}
+    return [dedup[w] for w in sorted(dedup)]
 
 
 def naive_enumerate_mab(max_len: int) -> list[str]:

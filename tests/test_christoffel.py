@@ -310,10 +310,10 @@ def test_christoffel_tree_walk_lists_the_standard_pairs_by_slope():
             words += primitive_lower_christoffel_words(n)
         pairs = list(_christoffel_tree(n))
         by_slope = sorted(words, key=lambda w: Fraction(w.count("1"), len(w)))
-        assert [u + v for u, v in pairs] == by_slope
-    for u, v in pairs:
-        f = standard_factorization((u + v).count("0"), (u + v).count("1"))
-        assert (u, v) == (f.left, f.right)
+        assert [w for _, _, w in pairs] == by_slope
+    for u, v, w in pairs:
+        f = standard_factorization(w.count("0"), w.count("1"))
+        assert (u, v, w) == (f.left, f.right, u + v)
 
 
 def test_reversal_duality():

@@ -153,6 +153,20 @@ def test_enum_commands(capsys):
     assert run(["count", "0", "0"], capsys) == (0, "1\n")
 
 
+def test_empty_listing_writes_nothing(tmp_path, capsys):
+    # One line per item: no words is no line, while the empty word is one empty line.
+    assert run(["enum", "mf", "7"], capsys) == (0, "")
+    assert run(["enum", "mab", "3"], capsys) == (0, "")
+    assert run(["enum", "mf", "7", "--json"], capsys) == (0, "[]\n")
+    assert run(["enum", "balanced", "0", "0"], capsys) == (0, "\n")
+    target = tmp_path / "mf.txt"
+    assert main(["enum", "mf", "7", "--output", str(target)]) == 0
+    assert target.read_text() == ""
+    assert main(["enum", "balanced", "0", "0", "--output", str(target)]) == 0
+    assert target.read_text() == "\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_enum_json_forms(capsys):
     code, out = run(["enum", "mf", "6", "--json"], capsys)
     records = json.loads(out)

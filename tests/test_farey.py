@@ -182,6 +182,14 @@ def test_plc_entry_fraction_is_read_off_the_root():
     assert entry != PlcEntry("00101", "01")
 
 
+def test_plc_entry_is_a_named_pair():
+    entry = PlcEntry("00010", "0001")
+    assert PlcEntry._fields == ("word", "root")
+    assert entry == ("00010", "0001") and hash(entry) == hash(("00010", "0001"))
+    word, root = entry
+    assert (word, root) == (entry.word, entry.root)
+
+
 def test_bijection_rejects_words_out_of_lexicographic_order(monkeypatch):
     entries = enumerate_plc(5)
     first, second = entries[1], entries[2]

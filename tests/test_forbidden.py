@@ -1,3 +1,4 @@
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,16 +12,18 @@ from conftest import (
     euler_phi,
     mab_subset_check,
     naive_enumerate_mab,
+    naive_enumerate_mf,
     naive_is_minimal_forbidden,
 )
 
-from balwords.christoffel import lower_christoffel
+from balwords.christoffel import _christoffel_tree, lower_christoffel
 from balwords.forbidden import (
+    MFWord,
     enumerate_mab,
     enumerate_mf,
     is_minimal_forbidden,
 )
-from balwords.words import is_lyndon, reversal
+from balwords.words import is_lyndon, parikh, reversal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,7 +99,38 @@ def test_is_minimal_forbidden_at_scale():
 
 def test_enumerate_mf_matches_brute_force():
     for n in range(2, 13):
-        assert {m.word for m in enumerate_mf(n)} == brute_minimal_forbidden(n)
+        assert [m.word for m in enumerate_mf(n)] == sorted(brute_minimal_forbidden(n))
+
+
+def test_enumerate_mf_matches_the_dedup_oracle():
+    for n in range(2, 121):
+        assert enumerate_mf(n) == naive_enumerate_mf(n)
+
+
+def test_enumerate_mf_is_built_in_order():
+    # enumerate_mf lists the upper-sourced words (first letter 0) and then the
+    # lower-sourced ones, each with a running from n-1 down to 1, and sorts.
+    # The sort must find nothing to move, and no word may occur twice.
+    for n in range(2, 400):
+        lowers = [lower_christoffel(a, n - a) for a in range(n - 1, 0, -1) if gcd(a, n) > 1]
+        order = ["0" + c[-2:0:-1] + "1" for c in lowers] + ["1" + c[1:-1] + "0" for c in lowers]
+        assert all(x < y for x, y in zip(order, order[1:]))
+        found = enumerate_mf(n)
+        assert [m.word for m in found] == order
+        if n <= 300:
+            assert len(found) == 2 * (n - 1 - euler_phi(n))
+            for m in found:
+                lower = lower_christoffel(*parikh(m.source))
+                assert m.source in (lower, lower[::-1])
+
+
+def test_mf_word_is_a_named_pair():
+    m = MFWord("000101", "100100")
+    assert MFWord._fields == ("word", "source")
+    assert m == ("000101", "100100") and hash(m) == hash(("000101", "100100"))
+    assert m.swap == ("1", "0")
+    with pytest.raises(AttributeError):
+        m.swap = ("0", "1")
 
 
 def test_zero_starting_count_and_lyndon():
@@ -128,6 +162,23 @@ def test_enumerate_mab_known_members():
 def test_mab_generators_agree():
     for max_len in range(2, 17):
         assert enumerate_mab(max_len) == enumerate_mab_from_squares(max_len)
+
+
+def test_enumerate_mab_is_built_in_order():
+    # enumerate_mab lists u u v v over the Christoffel-tree walk to max_len // 2,
+    # then the reversals, and sorts.  The walk to k yields the nodes of the walk
+    # to 200 with |uv| <= k, in the same order, so the strictly increasing order
+    # at 200 holds for every max_len <= 400 as well.
+    nodes = list(_christoffel_tree(200))
+    for k in (1, 2, 3, 10, 31, 64, 127, 199):
+        assert list(_christoffel_tree(k)) == [node for node in nodes if len(node[2]) <= k]
+    squares = [u + u + v + v for u, v, _ in nodes]
+    order = squares + [w[::-1] for w in squares]
+    assert all(x < y for x, y in zip(order, order[1:]))
+    assert enumerate_mab(400) == order
+    order = [w for w in order if len(w) <= 128]
+    for max_len in range(2, 129):
+        assert enumerate_mab(max_len) == [w for w in order if len(w) <= max_len]
 
 
 def test_enumerate_mab_matches_the_factorization_loop():
