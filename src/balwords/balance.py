@@ -178,13 +178,11 @@ def prefix_normal_witness(w: str) -> PrefixNormalWitness | None:
     if is_christoffel_prefix(w):
         return None
     n = len(w)
-    zeros = [0]
-    for c in w:
-        zeros.append(zeros[-1] + (c == "0"))
+    ones = _ones_prefix(w)
     for k in range(1, n):
-        cap = zeros[k]
+        prefix_ones = ones[k]
         for i in range(1, n - k + 1):
-            if zeros[i + k] - zeros[i] > cap:
+            if ones[i + k] - ones[i] < prefix_ones:
                 return PrefixNormalWitness(w[i : i + k], i + 1, w[:k])
     return None
 

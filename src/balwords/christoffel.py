@@ -1,4 +1,5 @@
-"""Construction and structural decomposition of Christoffel words.
+"""Construction and structural decomposition of Christoffel words, and the
+walks of the Christoffel (Stern-Brocot) tree.
 
 A lower Christoffel word encodes the tightest lattice path from (0,0) to
 (a,b) that stays weakly below the straight segment between those points
@@ -12,6 +13,13 @@ factorization; the palindromic factorization cuts the same word after a'
 letters, and the conjugate matrix holds its sorted rotations.  One
 in-order walk of the tree lists the nodes by slope, for the prefix and
 almost-balanced enumerations.
+
+The same tree, read as fractions, is the Stern-Brocot tree.  This module
+also holds its integer descent (the Farey neighbours of a point) and the
+walk of the bounded Farey set by its next-term recurrence, which
+``counting`` and ``farey`` use, and the one inverse rule: for consecutive
+Farey fractions p/q < r/s, -(r+s) is p's inverse mod p+q.  The period
+inverses a', b' come from that rule too, with no modular exponentiation.
 """
 
 from __future__ import annotations
@@ -109,6 +117,54 @@ def _christoffel_tree(n: int):
         u, w = w, w + v
 
 
+def _neighbours(order: int, u: int, v: int) -> tuple[int, int, int, int]:
+    """(p, q, r, s): the consecutive fractions p/q <= u/v < r/s of denominator <= order.
+
+    Batched Stern-Brocot descent from 0/1 and 1/0, for u >= 0 and v, order
+    >= 1: each step moves one end as many mediants toward u/v as the value
+    and the denominator bound allow, so the steps follow the continued
+    fraction of u/v, O(log) of them.
+    """
+    p, q, r, s = 0, 1, 1, 0
+    while q + s <= order:
+        if (p + r) * v <= u * (q + s):
+            t = (u * q - v * p) // (v * r - u * s)
+            if s:
+                t = min(t, (order - q) // s)
+            p, q = p + t * r, q + t * s
+        else:
+            below = u * q - v * p
+            t = (order - s) // q
+            if below:
+                t = min(t, (v * r - u * s - 1) // below)
+            r, s = r + t * p, s + t * q
+    return p, q, r, s
+
+
+def _farey_walk(order: int, u: int, v: int, x: int, y: int):
+    """Yield (p, q, r, s) for each fraction p/q of denominator <= order in
+    (u/v, x/y], in increasing order, with r/s its successor.
+
+    Starts at the neighbours of u/v and steps by the next-term recurrence:
+    after consecutive p/q < r/s comes (k*r - p)/(k*s - q) with
+    k = (order + q) // s.  Consecutive fractions satisfy r*q - p*s = 1, so
+    every yielded pair is in lowest terms.
+    """
+    p, q, r, s = _neighbours(order, u, v)
+    while r * y <= x * s:
+        k = (order + q) // s
+        p, q, r, s = r, s, k * r - p, k * s - q
+        yield p, q, r, s
+
+
+def _successor_inverse(p: int, q: int, r: int, s: int) -> int:
+    """p's inverse modulo p+q, for consecutive Farey fractions p/q < r/s.
+
+    As r*q - p*s = 1 and q = -p (mod p+q), p*(-(r+s)) = 1 (mod p+q).
+    """
+    return -(r + s) % (p + q)
+
+
 def lower_christoffel(a: int, b: int) -> str:
     """Lower Christoffel word with a zeros and b ones.
 
@@ -152,13 +208,13 @@ def period_inverses(a: int, b: int) -> tuple[int, int]:
     """(a', b'): multiplicative inverses of a and b modulo a+b.
 
     These are the two coprime periods of central_word(a, b), and the part
-    lengths of both factorizations below; a' + b' = a + b.
+    lengths of both factorizations below; a' + b' = a + b.  The fraction
+    b/a is its own lower neighbour among the fractions of denominator
+    <= a, so its Farey successor gives b' by ``_successor_inverse``.
     """
     _require_coprime(a, b)
-    n = a + b
-    ai, bi = pow(a, -1, n), pow(b, -1, n)
-    assert ai + bi == n
-    return ai, bi
+    bi = _successor_inverse(*_neighbours(a, b, a))
+    return a + b - bi, bi
 
 
 def palindromic_factorization(a: int, b: int) -> Factorization:

@@ -8,10 +8,11 @@ heavy height classes, gives the total.
 
 The coprime pairs of the two sums are the fractions of two short slope
 intervals, walked in increasing order as consecutive Farey fractions of
-bounded denominator; no pair is tested with gcd.  Each walked fraction's
-successor gives the pair's inverses mod alpha+beta, with no modular
-exponentiation, and each term's height sums reduce to one closed-form
-floor sum, O(log(alpha+beta)).  A count sums the terms along the walk.
+bounded denominator by ``christoffel._farey_walk``; no pair is tested with
+gcd.  Each walked fraction's successor gives the pair's inverses mod
+alpha+beta by the inverse rule ``christoffel._successor_inverse``, and
+each term's height sums reduce to one closed-form floor sum,
+O(log(alpha+beta)).  A count sums the terms along the walk.
 
 All arithmetic is exact: floors and ceilings of beta*k/(alpha+beta) are
 integer divisions, and fractions are compared by cross-multiplication.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .christoffel import period_inverses
+from .christoffel import _farey_walk, _successor_inverse, period_inverses
 
 
 @dataclass(frozen=True)
@@ -154,61 +155,21 @@ def count_heavy_factors(alpha: int, beta: int, n: int) -> int:
     return _period_term(alpha, beta, n)[1]
 
 
-def _neighbours(order: int, u: int, v: int) -> tuple[int, int, int, int]:
-    """(p, q, r, s): the consecutive fractions p/q <= u/v < r/s of denominator <= order.
-
-    Batched Stern-Brocot descent from 0/1 and 1/0, for u >= 0 and v, order
-    >= 1: each step moves one end as many mediants toward u/v as the value
-    and the denominator bound allow, so the steps follow the continued
-    fraction of u/v, O(log) of them.
-    """
-    p, q, r, s = 0, 1, 1, 0
-    while q + s <= order:
-        if (p + r) * v <= u * (q + s):
-            t = (u * q - v * p) // (v * r - u * s)
-            if s:
-                t = min(t, (order - q) // s)
-            p, q = p + t * r, q + t * s
-        else:
-            below = u * q - v * p
-            t = (order - s) // q
-            if below:
-                t = min(t, (v * r - u * s - 1) // below)
-            r, s = r + t * p, s + t * q
-    return p, q, r, s
-
-
-def _farey_walk(order: int, u: int, v: int, x: int, y: int):
-    """Yield (p, q, r, s) for each fraction p/q of denominator <= order in
-    (u/v, x/y], in increasing order, with r/s its successor.
-
-    Starts at the neighbours of u/v and steps by the next-term recurrence:
-    after consecutive p/q < r/s comes (k*r - p)/(k*s - q) with
-    k = (order + q) // s.  Consecutive fractions satisfy r*q - p*s = 1, so
-    every yielded pair is in lowest terms.
-    """
-    p, q, r, s = _neighbours(order, u, v)
-    while r * y <= x * s:
-        k = (order + q) // s
-        p, q, r, s = r, s, k * r - p, k * s - q
-        yield p, q, r, s
-
-
 def walk_terms(a: int, b: int):
     """Yield (alpha, beta, alpha', beta', kind) for every term of the (a, b) count.
 
     Heavy terms are the fractions beta/alpha with alpha <= a in
     ((b-1)/(a+1), b/a], light terms the fractions alpha/beta with beta <= b
     in ((a-1)/(b+1), a/b]; needs a, b >= 1.  Each interval is walked by
-    ``_farey_walk``, which yields exactly the coprime pairs, each with its
-    successor r/s.  As r*q - p*s = 1 and q = -p (mod m), m = p+q, the
-    successor gives p's inverse -(r+s) mod m; alpha' + beta' = m.
+    ``christoffel._farey_walk``, which yields exactly the coprime pairs,
+    each with its successor r/s, and ``christoffel._successor_inverse``
+    reads p's inverse mod p+q off that successor; alpha' + beta' = alpha + beta.
     """
     for p, q, r, s in _farey_walk(a, b - 1, a + 1, b, a):
-        inv = -(r + s) % (p + q)
+        inv = _successor_inverse(p, q, r, s)
         yield q, p, p + q - inv, inv, "heavy"
     for p, q, r, s in _farey_walk(b, a - 1, b + 1, a, b):
-        inv = -(r + s) % (p + q)
+        inv = _successor_inverse(p, q, r, s)
         yield p, q, inv, p + q - inv, "light"
 
 

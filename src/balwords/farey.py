@@ -10,8 +10,9 @@ Christoffel words of the Farey fractions of order n, in increasing order
 (Berstel, Lauve, Reutenauer, Saliola 2008); the word of p/q has root
 ones(root)/|root| = p/q.  The enumeration walks the Christoffel tree
 (``christoffel._christoffel_tree``) and the Farey sequence is walked by its
-next-term recurrence (``counting._farey_walk``); the bijection checks the
-two independent walks against each other.
+next-term recurrence (``christoffel._farey_walk``); both walks live in
+``christoffel``, and the bijection checks the two independent walks
+against each other.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .balance import is_christoffel_prefix
-from .christoffel import _christoffel_tree
-from .counting import _farey_walk
+from .christoffel import _christoffel_tree, _farey_walk
 from .words import smallest_period
 
 
@@ -79,7 +79,7 @@ def enumerate_plc(n: int) -> list[PlcEntry]:
 def farey_sequence(n: int) -> list[Fraction]:
     """Reduced fractions a/b with 0 <= a <= b <= n, in increasing order.
 
-    0/1, then the fractions of (0/1, 1/1] walked by ``counting._farey_walk``.
+    0/1, then the fractions of (0/1, 1/1] walked by ``christoffel._farey_walk``.
     """
     if n < 1:
         raise ValueError("order must be >= 1")

@@ -177,6 +177,14 @@ def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+def coprime_pairs(max_sum: int):
+    """Every coprime pair (a, b) with a, b >= 1 and a+b <= max_sum, by sum, then a."""
+    for s in range(2, max_sum + 1):
+        for a in range(1, s):
+            if gcd(a, s - a) == 1:
+                yield a, s - a
+
+
 def complement(w: str) -> str:
     return w.translate(str.maketrans("01", "10"))
 

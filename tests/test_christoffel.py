@@ -11,6 +11,7 @@ from conftest import (
     PowerOfLetter,
     all_words,
     central_decompose,
+    coprime_pairs,
     euler_phi,
     is_primitive_lower_christoffel,
     is_unbordered,
@@ -40,13 +41,6 @@ from balwords.words import conjugates, is_lyndon, is_palindrome, reversal
 GOLDEN = Path(__file__).parent / "golden"
 
 W74 = "00100100101"
-
-
-def coprime_pairs(max_sum, min_coord=1):
-    for s in range(2 * min_coord, max_sum + 1):
-        for a in range(min_coord, s - min_coord + 1):
-            if gcd(a, s - a) == 1:
-                yield a, s - a
 
 
 def test_lower_christoffel_known_words():
@@ -181,7 +175,7 @@ def test_period_inverses_known_values():
 
 
 def test_period_inverses_are_inverses_and_sum():
-    for a, b in coprime_pairs(30):
+    for a, b in coprime_pairs(200):
         ai, bi = period_inverses(a, b)
         n = a + b
         assert a * ai % n == 1 and b * bi % n == 1
@@ -225,8 +219,9 @@ def test_standard_factorization_properties():
         assert is_primitive_lower_christoffel(f.left)
         assert is_primitive_lower_christoffel(f.right)
         assert f.right == min(w[i:] for i in range(1, len(w)))
-        # part lengths are again the two inverse periods
-        assert sorted((len(f.left), len(f.right))) == sorted(period_inverses(a, b))
+        # the parts have lengths b' and a', the reverse of the palindromic cut
+        ai, bi = period_inverses(a, b)
+        assert (len(f.left), len(f.right)) == (bi, ai)
 
 
 def test_factorizations_match_the_cut_oracles():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_heavy_factors,
     brute_period_factors,
+    coprime_pairs,
     count_heavy_occurrences,
     euler_phi,
     naive_count_balanced_report,
@@ -20,13 +21,11 @@ from conftest import (
 )
 
 from balwords.balance import enumerate_balanced
-from balwords.christoffel import period_inverses
+from balwords.christoffel import _farey_walk, _neighbours, period_inverses
 from balwords import counting
 from balwords.counting import (
     CountTerm,
-    _farey_walk,
     _floor_sum,
-    _neighbours,
     brute_count_balanced,
     count_balanced,
     count_balanced_report,
@@ -35,13 +34,6 @@ from balwords.counting import (
     walk_terms,
 )
 from balwords.words import parikh, smallest_period
-
-
-def coprime_pairs(max_sum):
-    for s in range(2, max_sum + 1):
-        for alpha in range(1, s):
-            if gcd(alpha, s - alpha) == 1:
-                yield alpha, s - alpha
 
 
 def test_count_period_factors_known_values():

@@ -62,6 +62,10 @@ def test_is_minimal_forbidden_known_words():
     assert is_minimal_forbidden("000100101")
     assert not is_minimal_forbidden("0000101")
     assert not is_minimal_forbidden("0101")
+    # letter powers: balanced, and their end letters are equal
+    assert not is_minimal_forbidden("0")
+    assert not is_minimal_forbidden("00")
+    assert not is_minimal_forbidden("1111")
     with pytest.raises(ValueError):
         is_minimal_forbidden("")
 
