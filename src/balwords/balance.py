@@ -2,7 +2,7 @@
 
 A word is balanced when any two equal-length factors have ones-counts
 differing by at most 1.  Each predicate that can fail with a reason is one
-scan returning a frozen witness or None, and the predicate is
+scan returning a named-tuple witness or None, and the predicate is
 ``scan(w) is None``.  The balanced words of one Parikh vector are the
 windows of periodic lower Christoffel words named by the counting
 formula's term list, which is how they are enumerated.
@@ -18,15 +18,14 @@ the prefixes decides; such a word is prefix normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .christoffel import lower_christoffel
 from .counting import walk_terms
 from .words import parikh
 
 
-@dataclass(frozen=True)
-class ImbalanceWitness:
+class ImbalanceWitness(NamedTuple):
     """A palindrome v with both 0v0 and 1v1 occurring in the witnessed word.
 
     Positions are 1-based starts of the two occurrences.
@@ -37,16 +36,14 @@ class ImbalanceWitness:
     pos1: int
 
 
-@dataclass(frozen=True)
-class RotationWitness:
+class RotationWitness(NamedTuple):
     """An unbalanced rotation w[offset:] + w[:offset] of the witnessed word."""
 
     rotation: str
     offset: int
 
 
-@dataclass(frozen=True)
-class PrefixNormalWitness:
+class PrefixNormalWitness(NamedTuple):
     """A factor at 1-based position with more 0s than the equal-length prefix."""
 
     factor: str
@@ -54,13 +51,12 @@ class PrefixNormalWitness:
     prefix: str
 
 
-@dataclass(frozen=True)
-class BarWitness:
-    """A proper prefix whose height lies outside allowed = [floor, ceil] of k*b/(a+b)."""
+class BarWitness(NamedTuple):
+    """A proper prefix whose height lies outside allowed = (floor, ceil) of k*b/(a+b)."""
 
     prefix_length: int
     height: int
-    allowed: list[int] = field(hash=False)  # a list to print as [lo, hi]; kept out of the hash
+    allowed: tuple[int, int]
 
 
 def _ones_prefix(w: str) -> list[int]:
@@ -209,7 +205,7 @@ def bar_witness(w: str) -> BarWitness | None:
         h += w[k - 1] == "1"
         lo, hi = b * k // n, -((-b * k) // n)
         if not lo <= h <= hi:
-            return BarWitness(k, h, [lo, hi])
+            return BarWitness(k, h, (lo, hi))
     return None
 
 
@@ -224,9 +220,13 @@ def enumerate_balanced(a: int, b: int) -> list[str]:
     Built from the counting decomposition: every such word is a window of
     length a+b of the periodic lower Christoffel word of a coprime pair
     (alpha, beta) of the count's terms (``counting.walk_terms``), and every
-    window with b ones is balanced.  The windows at the alpha+beta offsets
-    of each pair, united and sorted, are the whole set.  (0, 0) gives the
-    empty word.
+    window with b ones is balanced.  Those windows, united and sorted, are
+    the whole set.  (0, 0) gives the empty word.
+
+    With m = alpha+beta and q, c = divmod(n*beta, m), the window at offset
+    i has q ones, plus one when r = i*beta mod m is at least m - c; b is q
+    or q+1.  So only the offsets i = r*beta' mod m of the matching r are
+    sliced, beta' the inverse of beta mod m that the walk yields.
     """
     if a < 0 or b < 0:
         raise ValueError("need a,b >= 0")
@@ -234,8 +234,10 @@ def enumerate_balanced(a: int, b: int) -> list[str]:
         return ["0" * a + "1" * b]
     n = a + b
     out: set[str] = set()
-    for alpha, beta in {t[:2] for t in walk_terms(a, b)}:
+    for alpha, beta, _, beta_inv, _ in walk_terms(a, b):
         m = alpha + beta
+        q, c = divmod(n * beta, m)
         text = lower_christoffel(alpha, beta) * (n // m + 2)
-        out.update(w for i in range(m) if (w := text[i : i + n]).count("1") == b)
+        offsets = (r * beta_inv % m for r in (range(m - c) if b == q else range(m - c, m)))
+        out.update(text[i : i + n] for i in offsets)
     return sorted(out)

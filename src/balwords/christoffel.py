@@ -24,14 +24,13 @@ inverses a', b' come from that rule too, with no modular exponentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .words import parikh, reversal
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     left: str
     right: str
     kind: str  # "palindromic" | "standard"
@@ -41,8 +40,7 @@ class Factorization:
         return self.left + self.right
 
 
-@dataclass(frozen=True)
-class ChristoffelMatrix:
+class ChristoffelMatrix(NamedTuple):
     a: int
     b: int
     rows: tuple[str, ...]

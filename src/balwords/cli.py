@@ -16,7 +16,6 @@ witness scan and, when the property fails, print the witness's fields
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -124,7 +123,7 @@ def _cmd_check(args) -> tuple[list[str], int]:
         found = scans[args.property](w)
         holds = found is None
         if not holds:
-            witness = dataclasses.asdict(found)
+            witness = found._asdict()
     else:
         holds = predicates[args.property](w)
 
@@ -133,7 +132,8 @@ def _cmd_check(args) -> tuple[list[str], int]:
         return [json.dumps(payload)], 0 if holds else 1
     text = f"{args.property}: {'yes' if holds else 'no'}"
     if witness is not None:
-        detail = ", ".join(f"{k}={v!r}" for k, v in witness.items())
+        # A tuple field prints as a list, [lo, hi], as it does in JSON.
+        detail = ", ".join(f"{k}={(list(v) if isinstance(v, tuple) else v)!r}" for k, v in witness.items())
         text += f" ({detail})"
     return [text], 0 if holds else 1
 

@@ -20,14 +20,13 @@ integer divisions, and fractions are compared by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .christoffel import _farey_walk, _successor_inverse, period_inverses
 
 
-@dataclass(frozen=True)
-class CountTerm:
+class CountTerm(NamedTuple):
     alpha: int
     beta: int
     kind: str  # "heavy" | "light"
@@ -36,8 +35,7 @@ class CountTerm:
     contribution: int
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Audit decomposition of the balanced-word count for one Parikh vector."""
 
     a: int
@@ -178,18 +176,25 @@ def count_balanced_report(a: int, b: int) -> CountReport:
 
     Heavy terms come first, each kind ordered by alpha, then beta.  Within a
     kind beta never falls as alpha rises, so this is also the order by beta.
+    A term's fields start with alpha, beta, and no pair repeats within a
+    kind, so each kind's plain tuple sort is that order.
     """
     if a < 0 or b < 0:
         raise ValueError("need a,b >= 0")
     if a == 0 or b == 0:
         return CountReport(a, b, (), 1)
     n = a + b
-    terms = []
+    heavy, light = [], []
     for alpha, beta, alpha_inv, beta_inv, kind in walk_terms(a, b):
         nv, hv = _term(alpha, beta, alpha_inv, beta_inv, n)
-        terms.append(CountTerm(alpha, beta, kind, nv, hv, hv if kind == "heavy" else nv - hv))
-    terms.sort(key=lambda t: (t.kind, t.alpha, t.beta))
-    return CountReport(a, b, tuple(terms), sum(t.contribution for t in terms))
+        if kind == "heavy":
+            heavy.append(CountTerm(alpha, beta, kind, nv, hv, hv))
+        else:
+            light.append(CountTerm(alpha, beta, kind, nv, hv, nv - hv))
+    heavy.sort()
+    light.sort()
+    terms = (*heavy, *light)
+    return CountReport(a, b, terms, sum(t.contribution for t in terms))
 
 
 def count_balanced(a: int, b: int) -> int:

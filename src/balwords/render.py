@@ -8,14 +8,13 @@ straight line from (0,0) to (a,b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .christoffel import lower_christoffel, upper_christoffel
 from .words import parikh
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     word: str
     show_bar: bool = False
     show_segment: bool = False

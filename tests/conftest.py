@@ -31,7 +31,7 @@ from balwords.christoffel import (
     period_inverses,
     upper_christoffel,
 )
-from balwords.counting import CountReport, CountTerm, _period_term, count_period_factors
+from balwords.counting import CountReport, CountTerm, _period_term, count_period_factors, walk_terms
 from balwords.forbidden import MFWord, enumerate_mab, enumerate_mf
 from balwords.words import (
     Parikh,
@@ -552,6 +552,21 @@ def naive_count_balanced_report(a: int, b: int) -> CountReport:
         nv, hv = _period_term(alpha, beta, n)
         terms.append(CountTerm(alpha, beta, "light", nv, hv, nv - hv))
     return CountReport(a, b, tuple(terms), sum(t.contribution for t in terms))
+
+
+def naive_enumerate_balanced(a: int, b: int) -> list[str]:
+    """Oracle for enumerate_balanced: every length-(a+b) window of the
+    periodic lower Christoffel word of each term pair, at each of its
+    alpha+beta offsets, kept when it has b ones; united and sorted."""
+    if a == 0 or b == 0:
+        return ["0" * a + "1" * b]
+    n = a + b
+    out: set[str] = set()
+    for alpha, beta in {t[:2] for t in walk_terms(a, b)}:
+        m = alpha + beta
+        text = lower_christoffel(alpha, beta) * (n // m + 2)
+        out.update(w for i in range(m) if (w := text[i : i + n]).count("1") == b)
+    return sorted(out)
 
 
 def naive_plc_root(v: str) -> str:

@@ -16,6 +16,7 @@ from conftest import (
     is_right_special,
     is_strictly_bispecial,
     max_balanced_lyndon,
+    naive_enumerate_balanced,
     naive_is_balanced,
     naive_is_plc,
     naive_is_prefix_normal,
@@ -38,7 +39,7 @@ from balwords.balance import (
     unbalance_witness,
 )
 from balwords.christoffel import is_central, lower_christoffel
-from balwords.counting import brute_balanced_words
+from balwords.counting import brute_balanced_words, walk_terms
 from balwords.words import Parikh, conjugates, parikh
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -284,7 +285,7 @@ def test_bar_witness_is_the_first_prefix_outside_the_bar():
             k = found.prefix_length
             lo, hi = math.floor(Fraction(k * b, n)), math.ceil(Fraction(k * b, n))
             assert 1 <= k < n and found.height == w[:k].count("1")
-            assert found.allowed == [lo, hi]
+            assert found.allowed == (lo, hi)
             assert not lo <= found.height <= hi
 
 
@@ -360,6 +361,22 @@ def test_enumerate_balanced_matches_search_oracle():
     for n in range(0, 23):
         for a in range(0, n + 1):
             assert enumerate_balanced(a, n - a) == brute_balanced_words(a, n - a)
+
+
+def test_enumerate_balanced_matches_the_all_offsets_scan():
+    for a in range(0, 31):
+        for b in range(0, 31):
+            assert enumerate_balanced(a, b) == naive_enumerate_balanced(a, b)
+
+
+def test_every_term_window_has_q_or_q_plus_one_ones():
+    # enumerate_balanced takes the windows with b ones from one of the two
+    # classes q and q+1, so b must be one of them for every walked term.
+    for a in range(1, 120):
+        for b in range(1, 120):
+            for alpha, beta, _, _, _ in walk_terms(a, b):
+                q = (a + b) * beta // (alpha + beta)
+                assert b in (q, q + 1)
 
 
 def test_enumeration_is_sorted_and_starts_at_lower_christoffel():

@@ -253,6 +253,18 @@ def test_module_entrypoint_subprocess():
     assert proc.stdout == "12\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every record is a named tuple, so a cold start skips both modules.
+    code = "import sys, balwords.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_closed_stdout_exits_2_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "balwords", "enum", "plc", "5"],
