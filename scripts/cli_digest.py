@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""One digest over a fixed sweep of balwords command lines.
+
+Runs `balwords.cli.main(argv)` in process on a fixed list of commands and
+hashes, for each, the argv, the exit code, stdout and stderr:
+
+    gen      lower|upper|central|matrix A B for 1 <= A, B <= 12
+    check    each of the 8 properties on every word of 1 to 7 letters
+    enum     balanced A B for A+B <= 20, plc|farey|mf|mab N --force for
+             N <= 40
+    count    plain, --audit and --json for 0 <= A, B <= 30, and --oracle
+             for A+B <= 14
+    render   a fixed list of words, ascii and svg, with and without --bar
+             and --segment
+    errors   the exit-2 inputs that README fixes
+
+gen, check and enum run in text and with --json.  The script prints the
+number of commands and one SHA-256 over all of them; `--list` prints one
+digest per command instead, so the outputs of two trees can be diffed.
+The package must be importable, for example
+`PYTHONPATH=src python scripts/cli_digest.py`.  argparse's own messages
+differ between Python versions, so compare digests made by one interpreter.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+
+from balwords.cli import main as cli_main
+
+RENDER_WORDS = ["0", "1", "01", "0010010101", "00100100101", "1011010110", "0110", "000111"]
+PROPERTIES = ["balanced", "circular", "prefix-normal", "plc", "central", "lyndon", "mf", "in-bar"]
+
+
+def commands() -> list[list[str]]:
+    out = []
+
+    def both(argv: list[str]) -> None:
+        out.extend([argv, argv + ["--json"]])
+
+    for kind in ("lower", "upper", "central", "matrix"):
+        for a, b in itertools.product(range(1, 13), repeat=2):
+            both(["gen", kind, str(a), str(b)])
+    for n in range(1, 8):
+        for letters in itertools.product("01", repeat=n):
+            for prop in PROPERTIES:
+                both(["check", prop, "".join(letters)])
+    for a in range(21):
+        for b in range(21 - a):
+            both(["enum", "balanced", str(a), str(b)])
+    for family in ("plc", "farey", "mf", "mab"):
+        for n in range(1, 41):
+            both(["enum", family, str(n), "--force"])
+    for a, b in itertools.product(range(31), repeat=2):
+        for flag in ([], ["--audit"], ["--json"]):
+            out.append(["count", str(a), str(b), *flag])
+        if a + b <= 14:
+            out.append(["count", str(a), str(b), "--oracle"])
+    for word in RENDER_WORDS:
+        for fmt, bar, segment in itertools.product(("ascii", "svg"), ([], ["--bar"]), ([], ["--segment"])):
+            out.append(["render", word, "--format", fmt, *bar, *segment])
+    out += [
+        ["check", "balanced", "012"],
+        ["render", "0a1"],
+        ["enum", "balanced", "14", "13"],
+        ["enum", "plc", "27"],
+        ["enum", "mf", "27"],
+        ["enum", "mab", "27"],
+        ["enum", "farey", "27"],
+        ["count", "11", "10", "--oracle"],
+        ["enum", "--json", "plc", "5"],
+    ]
+    return out
+
+
+def run(argv: list[str]) -> bytes:
+    """argv, exit code, stdout and stderr of one in-process run, as one record."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return repr((argv, code, stdout.getvalue(), stderr.getvalue())).encode()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description="Digest the output of a fixed sweep of balwords commands.")
+    parser.add_argument("--list", action="store_true", help="print one digest per command")
+    args = parser.parse_args()
+    total = hashlib.sha256()
+    cmds = commands()
+    for argv in cmds:
+        digest = hashlib.sha256(run(argv)).digest()
+        total.update(digest)
+        if args.list:
+            print(digest.hex()[:16], " ".join(argv))
+    print(f"commands {len(cmds)}")
+    print(f"sha256 {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

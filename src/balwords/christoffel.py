@@ -92,26 +92,28 @@ def _standard_pair(a: int, b: int) -> tuple[str, str]:
     return u, v
 
 
-def _christoffel_tree(n: int):
-    """Yield the standard pair (u, v) and the word uv of every primitive
-    lower Christoffel word with both letters and |uv| <= n, by increasing
-    slope.
+def _christoffel_tree(n: int) -> list[tuple[str, str, str]]:
+    """The standard pair (u, v) and the word uv of every primitive lower
+    Christoffel word with both letters and |uv| <= n, by increasing slope,
+    as a list of (u, v, uv).
 
     In-order walk of the Christoffel tree from the root ('0', '1') with an
     explicit stack: the child (u, uv) of a node lies below it in slope and
     (uv, v) above it, and a node longer than n ends its branch, since its
-    descendants are longer still.  Each node's word is built once.
+    descendants are longer still.  Each node's word is built once, and each
+    node's stack entry is the list item.
     """
-    stack = []
+    out, stack = [], []
+    emit, push, pop = out.append, stack.append, stack.pop
     u, v, w = "0", "1", "01"
     while True:
         while len(w) <= n:
-            stack.append((u, v, w))
+            push((u, v, w))
             v, w = w, u + w
         if not stack:
-            return
-        u, v, w = stack.pop()
-        yield u, v, w
+            return out
+        u, v, w = node = pop()
+        emit(node)
         u, w = w, w + v
 
 

@@ -20,7 +20,9 @@ integer divisions, and fractions are compared by cross-multiplication.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .christoffel import _farey_walk, _successor_inverse, period_inverses
@@ -33,6 +35,10 @@ class CountTerm(NamedTuple):
     n_value: int
     h_value: int
     contribution: int
+
+
+# CountTerm._make without its Python frame and length check, for rows built in a loop.
+_count_term = partial(tuple.__new__, CountTerm)
 
 
 class CountReport(NamedTuple):
@@ -97,7 +103,7 @@ def _term(alpha: int, beta: int, alpha_inv: int, beta_inv: int, n: int) -> tuple
     constant.
     """
     m = alpha + beta
-    hi = max(alpha_inv, beta_inv)
+    hi = alpha_inv if alpha_inv > beta_inv else beta_inv
     if n >= m + hi:
         return m, n * beta % m
     floor_n = beta * n // m
@@ -176,8 +182,10 @@ def count_balanced_report(a: int, b: int) -> CountReport:
 
     Heavy terms come first, each kind ordered by alpha, then beta.  Within a
     kind beta never falls as alpha rises, so this is also the order by beta.
-    A term's fields start with alpha, beta, and no pair repeats within a
-    kind, so each kind's plain tuple sort is that order.
+    The rows are built as plain tuples (alpha, beta, kind, N, H,
+    contribution), sorted and summed as such, and wrapped as ``CountTerm``
+    at the end.  A row starts with alpha, beta, and no pair repeats within
+    a kind, so each kind's plain tuple sort is that order.
     """
     if a < 0 or b < 0:
         raise ValueError("need a,b >= 0")
@@ -188,13 +196,13 @@ def count_balanced_report(a: int, b: int) -> CountReport:
     for alpha, beta, alpha_inv, beta_inv, kind in walk_terms(a, b):
         nv, hv = _term(alpha, beta, alpha_inv, beta_inv, n)
         if kind == "heavy":
-            heavy.append(CountTerm(alpha, beta, kind, nv, hv, hv))
+            heavy.append((alpha, beta, kind, nv, hv, hv))
         else:
-            light.append(CountTerm(alpha, beta, kind, nv, hv, nv - hv))
+            light.append((alpha, beta, kind, nv, hv, nv - hv))
     heavy.sort()
     light.sort()
-    terms = (*heavy, *light)
-    return CountReport(a, b, terms, sum(t.contribution for t in terms))
+    rows = heavy + light  # field 5 of a row is its contribution
+    return CountReport(a, b, tuple(map(_count_term, rows)), sum(map(itemgetter(5), rows)))
 
 
 def count_balanced(a: int, b: int) -> int:

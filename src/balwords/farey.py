@@ -17,7 +17,7 @@ against each other.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .balance import is_christoffel_prefix
@@ -37,7 +37,13 @@ class PlcEntry(NamedTuple):
     @property
     def fraction(self) -> Fraction:
         """The root's Farey fraction ones(root)/|root|."""
+        from fractions import Fraction
+
         return Fraction(self.root.count("1"), len(self.root))
+
+
+# PlcEntry._make without its Python frame and length check, for lists of entries.
+_plc_entry = partial(tuple.__new__, PlcEntry)
 
 
 def is_plc(w: str) -> bool:
@@ -69,11 +75,9 @@ def enumerate_plc(n: int) -> list[PlcEntry]:
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    out = [PlcEntry("0" * n, "0")]
-    for _, _, root in _christoffel_tree(n):
-        out.append(PlcEntry((root * (n // len(root) + 1))[:n], root))
-    out.append(PlcEntry("1" * n, "1"))
-    return out
+    roots = ["0", *[w for _, _, w in _christoffel_tree(n)], "1"]
+    words = [(root * (n // len(root) + 1))[:n] for root in roots]
+    return list(map(_plc_entry, zip(words, roots)))
 
 
 def farey_sequence(n: int) -> list[Fraction]:
@@ -81,6 +85,8 @@ def farey_sequence(n: int) -> list[Fraction]:
 
     0/1, then the fractions of (0/1, 1/1] walked by ``christoffel._farey_walk``.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("order must be >= 1")
     return [Fraction(0)] + [Fraction(p, q) for p, q, _, _ in _farey_walk(n, 0, 1, 1, 1)]
@@ -93,6 +99,8 @@ def plc_farey_bijection(n: int) -> list[tuple[PlcEntry, Fraction]]:
     every entry, compared as (ones, length) against the walked (p, q)
     before any ``Fraction`` is built; disagreement is an internal error.
     """
+    from fractions import Fraction
+
     entries = enumerate_plc(n)
     walk = [(0, 1, 1, n), *_farey_walk(n, 0, 1, 1, 1)]
     if len(entries) != len(walk):

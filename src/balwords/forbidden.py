@@ -13,6 +13,7 @@ rather than an argument, at the cost of one linear pass.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from typing import NamedTuple
 
@@ -35,6 +36,10 @@ class MFWord(NamedTuple):
         return self.source[0], self.source[-1]
 
 
+# MFWord._make without its Python frame and length check, for lists of words.
+_mf_word = partial(tuple.__new__, MFWord)
+
+
 def _swap_ends(source: str) -> str:
     return source[-1] + source[1:-1] + source[0]
 
@@ -54,9 +59,10 @@ def enumerate_mf(n: int) -> list[MFWord]:
     if n < 2:
         raise ValueError("minimal forbidden words have length >= 2")
     lowers = [lower_christoffel(a, n - a) for a in range(n - 1, 0, -1) if gcd(a, n) > 1]
+    uppers = [lower[::-1] for lower in lowers]
     # A lower word runs 0...1 and its reversal 1...0; each source's word has its ends swapped.
-    out = [MFWord("0" + lower[-2:0:-1] + "1", lower[::-1]) for lower in lowers]
-    out += [MFWord("1" + lower[1:-1] + "0", lower) for lower in lowers]
+    words = ["0" + upper[1:-1] + "1" for upper in uppers] + ["1" + lower[1:-1] + "0" for lower in lowers]
+    out = list(map(_mf_word, zip(words, uppers + lowers)))
     out.sort()
     return out
 
@@ -84,13 +90,15 @@ def enumerate_mab(max_len: int) -> list[str]:
     Generated as u^2 v^2 over the standard factorization u v of each
     primitive lower Christoffel word with both letters and
     |uv| <= max_len // 2, read off the walk of the Christoffel tree by
-    increasing slope, followed by their reversals.  No word occurs twice,
-    since the Parikh vector 2(a, b) or the first letter differs, and the
-    walk already lists each half in order; the final sort only confirms it.
+    increasing slope, followed by their reversals.  Each word is built as
+    u.uv.v = u^2 v^2 from the pair and the walk's word w = uv.  No word
+    occurs twice, since the Parikh vector 2(a, b) or the first letter
+    differs, and the walk already lists each half in order; the final sort
+    only confirms it.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
-    out = [u + u + v + v for u, v, _ in _christoffel_tree(max_len // 2)]
+    out = [u + w + v for u, v, w in _christoffel_tree(max_len // 2)]
     out += [w[::-1] for w in out]
     out.sort()
     return out

@@ -254,8 +254,10 @@ def test_module_entrypoint_subprocess():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Every record is a named tuple, so a cold start skips both modules.
-    code = "import sys, balwords.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # Every record is a named tuple, so a cold start skips both modules; and
+    # `fractions` (with `decimal`) loads only when a Fraction is built.
+    heavy = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+    code = f"import sys, balwords.cli; print(sorted({heavy} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
