@@ -13,13 +13,20 @@ hashes, for each, the argv, the exit code, stdout and stderr:
     render   a fixed list of words, ascii and svg, with and without --bar
              and --segment
     errors   the exit-2 inputs that README fixes
+    argparse --help of the top parser, of each command and of each enum
+             family; each command and family with no arguments, and each
+             family with one too many; an unknown command, gen kind,
+             check property, enum family and render --format; a
+             non-integer size
 
 gen, check and enum run in text and with --json.  The script prints the
 number of commands and one SHA-256 over all of them; `--list` prints one
 digest per command instead, so the outputs of two trees can be diffed.
 The package must be importable, for example
 `PYTHONPATH=src python scripts/cli_digest.py`.  argparse's own messages
-differ between Python versions, so compare digests made by one interpreter.
+differ between Python versions, so compare digests made by one interpreter;
+and argparse wraps help at the terminal width, so the script fixes
+COLUMNS=80 before it runs anything.
 """
 
 import argparse
@@ -27,11 +34,15 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 
 from balwords.cli import main as cli_main
 
 RENDER_WORDS = ["0", "1", "01", "0010010101", "00100100101", "1011010110", "0110", "000111"]
 PROPERTIES = ["balanced", "circular", "prefix-normal", "plc", "central", "lyndon", "mf", "in-bar"]
+COMMANDS = ["gen", "check", "count", "enum", "render"]
+# Each enum family with one size argument too many.
+FAMILY_SIZES = {"balanced": 3, "plc": 2, "mf": 2, "mab": 2, "farey": 2}
 
 
 def commands() -> list[list[str]]:
@@ -72,6 +83,19 @@ def commands() -> list[list[str]]:
         ["count", "11", "10", "--oracle"],
         ["enum", "--json", "plc", "5"],
     ]
+    out += [["--help"], []]
+    for command in COMMANDS:
+        out += [[command, "--help"], [command]]
+    for family, too_many in FAMILY_SIZES.items():
+        out += [["enum", family, "--help"], ["enum", family], ["enum", family, *["3"] * too_many]]
+    out += [
+        ["frobnicate"],
+        ["gen", "diagonal", "3", "2"],
+        ["check", "square", "01"],
+        ["enum", "lyndon", "5"],
+        ["render", "01", "--format", "png"],
+        ["gen", "lower", "x", "2"],
+    ]
     return out
 
 
@@ -87,6 +111,7 @@ def run(argv: list[str]) -> bytes:
 
 
 def main() -> None:
+    os.environ["COLUMNS"] = "80"
     parser = argparse.ArgumentParser(description="Digest the output of a fixed sweep of balwords commands.")
     parser.add_argument("--list", action="store_true", help="print one digest per command")
     args = parser.parse_args()

@@ -8,9 +8,16 @@ the lines to write, and each line ends in a newline: text mode writes one
 line per item, so an empty listing writes nothing, while the empty word is
 one empty line; JSON is one line, `[]` for an empty listing.
 
-`check balanced|circular|prefix-normal|in-bar` call the balance module's
-witness scan and, when the property fails, print the witness's fields
-(JSON: the "witness" object); the other properties are plain predicates.
+`gen`, `check` and `enum` each read one table, `GENS`, `CHECKS` and
+`ENUMS`: the parser takes its choices from the table, and the handler looks
+up one entry and has no branch per kind, property or family.  A `CHECKS`
+entry is either a witness scan, which returns a named tuple when the
+property fails (printed as its fields; JSON: the "witness" object) and None
+when it holds, or a predicate, which returns a bool.  An `ENUMS` entry
+gives the family's help, its size arguments (the cap reads their sum), the
+rows that --json writes, and the text line of a row.  Every entry calls its
+function through the module, so a wrapper put on the module at run time is
+the one called.
 """
 
 from __future__ import annotations
@@ -19,16 +26,45 @@ import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 
 from . import balance, christoffel, counting, farey, forbidden, render, words
 
 ENUM_CAP = 26
 ORACLE_CAP = 20
 
+GENS = {
+    "lower": lambda a, b: christoffel.lower_christoffel(a, b),
+    "upper": lambda a, b: christoffel.upper_christoffel(a, b),
+    "central": lambda a, b: christoffel.central_word(a, b),
+}
 
-def _check_cap(value: int, force: bool, what: str) -> None:
-    if value > ENUM_CAP and not force:
-        raise ValueError(f"{what}={value} exceeds the cap {ENUM_CAP}; pass --force to override")
+CHECKS = {
+    "balanced": lambda w: balance.unbalance_witness(w),
+    "circular": lambda w: balance.rotation_witness(w),
+    "prefix-normal": lambda w: balance.prefix_normal_witness(w),
+    "plc": lambda w: farey.is_plc(w),
+    "central": lambda w: christoffel.is_central(w),
+    "lyndon": lambda w: words.is_lyndon(w),
+    "mf": lambda w: forbidden.is_minimal_forbidden(w),
+    "in-bar": lambda w: balance.bar_witness(w),
+}
+
+# family: (help, size arguments, the rows that --json writes, the text line of a row or None when the row is the line)
+ENUMS = {
+    "balanced": ("balanced words with a zeros and b ones", ("a", "b"),
+                 lambda a, b: balance.enumerate_balanced(a, b), None),
+    "plc": ("prefixes of lower Christoffel words of length n", ("n",),
+            lambda n: [e.word for e in farey.enumerate_plc(n)], None),
+    "mf": ("minimal forbidden words of length n", ("n",),
+           lambda n: [m._asdict() for m in forbidden.enumerate_mf(n)], itemgetter("word")),
+    "mab": ("minimal almost-balanced words up to a length", ("max_len",),
+            lambda max_len: forbidden.enumerate_mab(max_len), None),
+    "farey": ("length-n prefix words paired with Farey fractions", ("n",),
+              lambda n: [{"word": e.word, "root": e.root, "fraction": f"{f.numerator}/{f.denominator}"}
+                         for e, f in farey.plc_farey_bijection(n)],
+              lambda row: f"{row['word']}  {row['fraction']}"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,18 +79,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common], help="generate a Christoffel object")
-    p_gen.add_argument("kind", choices=["lower", "upper", "central", "matrix"])
+    p_gen.set_defaults(run=_cmd_gen)
+    p_gen.add_argument("kind", choices=[*GENS, "matrix"])
     p_gen.add_argument("a", type=int)
     p_gen.add_argument("b", type=int)
 
     p_check = sub.add_parser("check", parents=[common], help="check a property of a word")
-    p_check.add_argument(
-        "property",
-        choices=["balanced", "circular", "prefix-normal", "plc", "central", "lyndon", "mf", "in-bar"],
-    )
+    p_check.set_defaults(run=_cmd_check)
+    p_check.add_argument("property", choices=list(CHECKS))
     p_check.add_argument("word")
 
     p_count = sub.add_parser("count", parents=[common], help="count balanced words with a zeros and b ones")
+    p_count.set_defaults(run=_cmd_count)
     p_count.add_argument("a", type=int)
     p_count.add_argument("b", type=int)
     p_count.add_argument("--audit", action="store_true", help="emit the per-term JSON breakdown")
@@ -62,22 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The family parsers own --json/--output, so they follow the family.
     p_enum = sub.add_parser("enum", help="enumerate a family of words")
+    p_enum.set_defaults(run=_cmd_enum)
     enum_sub = p_enum.add_subparsers(dest="family", required=True)
-    e_bal = enum_sub.add_parser("balanced", parents=[common], help="balanced words with a zeros and b ones")
-    e_bal.add_argument("a", type=int)
-    e_bal.add_argument("b", type=int)
-    e_plc = enum_sub.add_parser("plc", parents=[common], help="prefixes of lower Christoffel words of length n")
-    e_plc.add_argument("n", type=int)
-    e_mf = enum_sub.add_parser("mf", parents=[common], help="minimal forbidden words of length n")
-    e_mf.add_argument("n", type=int)
-    e_mab = enum_sub.add_parser("mab", parents=[common], help="minimal almost-balanced words up to a length")
-    e_mab.add_argument("max_len", type=int)
-    e_farey = enum_sub.add_parser("farey", parents=[common], help="length-n prefix words paired with Farey fractions")
-    e_farey.add_argument("n", type=int)
-    for p in (e_bal, e_plc, e_mf, e_mab, e_farey):
-        p.add_argument("--force", action="store_true", help="override the size cap")
+    for family, (help_text, names, _, _) in ENUMS.items():
+        p_family = enum_sub.add_parser(family, parents=[common], help=help_text)
+        for name in names:
+            p_family.add_argument(name, type=int)
+        p_family.add_argument("--force", action="store_true", help="override the size cap")
 
     p_render = sub.add_parser("render", parents=[common], help="draw the lattice path of a word")
+    p_render.set_defaults(run=_cmd_render)
     p_render.add_argument("word")
     p_render.add_argument("--bar", action="store_true", help="draw the Christoffel bar boundaries")
     p_render.add_argument("--segment", action="store_true", help="draw the straight segment (svg only)")
@@ -93,12 +123,7 @@ def _cmd_gen(args) -> tuple[list[str], int]:
         if args.json:
             return [json.dumps({"a": m.a, "b": m.b, "rows": list(m.rows)})], 0
         return [m.as_text()], 0
-    builders = {
-        "lower": christoffel.lower_christoffel,
-        "upper": christoffel.upper_christoffel,
-        "central": christoffel.central_word,
-    }
-    word = builders[args.kind](args.a, args.b)
+    word = GENS[args.kind](args.a, args.b)
     if args.json:
         return [json.dumps({"kind": args.kind, "a": args.a, "b": args.b, "word": word})], 0
     return [word], 0
@@ -106,27 +131,9 @@ def _cmd_gen(args) -> tuple[list[str], int]:
 
 def _cmd_check(args) -> tuple[list[str], int]:
     w = words.check_word(args.word)
-    scans = {
-        "balanced": balance.unbalance_witness,
-        "circular": balance.rotation_witness,
-        "prefix-normal": balance.prefix_normal_witness,
-        "in-bar": balance.bar_witness,
-    }
-    predicates = {
-        "plc": farey.is_plc,
-        "central": christoffel.is_central,
-        "lyndon": words.is_lyndon,
-        "mf": forbidden.is_minimal_forbidden,
-    }
-    witness: dict | None = None
-    if args.property in scans:
-        found = scans[args.property](w)
-        holds = found is None
-        if not holds:
-            witness = found._asdict()
-    else:
-        holds = predicates[args.property](w)
-
+    found = CHECKS[args.property](w)
+    holds = found is None or found is True
+    witness = found._asdict() if isinstance(found, tuple) else None
     if args.json:
         payload = {"property": args.property, "word": w, "holds": holds, "witness": witness}
         return [json.dumps(payload)], 0 if holds else 1
@@ -160,30 +167,14 @@ def _cmd_count(args) -> tuple[list[str], int]:
 
 
 def _cmd_enum(args) -> tuple[list[str], int]:
-    if args.family == "balanced":
-        _check_cap(args.a + args.b, args.force, "a+b")
-        items = balance.enumerate_balanced(args.a, args.b)
-        return ([json.dumps(items)] if args.json else items), 0
-    if args.family == "plc":
-        _check_cap(args.n, args.force, "n")
-        items = [e.word for e in farey.enumerate_plc(args.n)]
-        return ([json.dumps(items)] if args.json else items), 0
-    if args.family == "mf":
-        _check_cap(args.n, args.force, "n")
-        found = forbidden.enumerate_mf(args.n)
-        if args.json:
-            return [json.dumps([{"word": m.word, "source": m.source} for m in found])], 0
-        return [m.word for m in found], 0
-    if args.family == "mab":
-        _check_cap(args.max_len, args.force, "max_len")
-        items = forbidden.enumerate_mab(args.max_len)
-        return ([json.dumps(items)] if args.json else items), 0
-    # farey
-    _check_cap(args.n, args.force, "n")
-    rows = [(e, f"{f.numerator}/{f.denominator}") for e, f in farey.plc_farey_bijection(args.n)]
+    _, names, rows, line = ENUMS[args.family]
+    sizes = [getattr(args, name) for name in names]
+    if sum(sizes) > ENUM_CAP and not args.force:
+        raise ValueError(f"{'+'.join(names)}={sum(sizes)} exceeds the cap {ENUM_CAP}; pass --force to override")
+    found = rows(*sizes)
     if args.json:
-        return [json.dumps([{"word": e.word, "root": e.root, "fraction": f} for e, f in rows])], 0
-    return [f"{e.word}  {f}" for e, f in rows], 0
+        return [json.dumps(found)], 0
+    return (found if line is None else [line(row) for row in found]), 0
 
 
 def _cmd_render(args) -> tuple[list[str], int]:
@@ -198,17 +189,9 @@ def _cmd_render(args) -> tuple[list[str], int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "check": _cmd_check,
-        "count": _cmd_count,
-        "enum": _cmd_enum,
-        "render": _cmd_render,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        lines, code = handlers[args.command](args)
+        lines, code = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,19 +49,6 @@ def _validate(spec: RenderSpec) -> tuple[int, int]:
     return a, b
 
 
-def _edges(word: str) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    horizontal, vertical = set(), set()
-    x = y = 0
-    for c in word:
-        if c == "0":
-            horizontal.add((x, y))
-            x += 1
-        else:
-            vertical.add((x, y))
-            y += 1
-    return horizontal, vertical
-
-
 def render_ascii(spec: RenderSpec) -> str:
     """Character-grid staircase: '_' right steps, '|' up steps, '.' bar boundary."""
     a, b = _validate(spec)
@@ -70,11 +57,9 @@ def render_ascii(spec: RenderSpec) -> str:
     grid = [[" "] * (a + 1) for _ in range(b + 1)]
 
     def paint(word: str, h_char: str, v_char: str) -> None:
-        horizontal, vertical = _edges(word)
-        for x, y in horizontal:
-            grid[y][x] = h_char
-        for x, y in vertical:
-            grid[y][x] = v_char
+        # Each letter is drawn in the cell of the point its step leaves.
+        for (x, y), letter in zip(path_vertices(word), word):
+            grid[y][x] = h_char if letter == "0" else v_char
 
     if spec.show_bar:
         paint(lower_christoffel(a, b), ".", ".")

@@ -186,6 +186,28 @@ def test_enum_caps_and_force(capsys):
     assert main(["enum", "balanced", "20", "20"]) == 2
 
 
+# family: (sizes summing to the cap, sizes one over it, the label the cap error names)
+CAP_BOUNDARY = {
+    "balanced": (["13", "13"], ["14", "13"], "a+b"),
+    "plc": (["26"], ["27"], "n"),
+    "mf": (["26"], ["27"], "n"),
+    "mab": (["26"], ["27"], "max_len"),
+    "farey": (["26"], ["27"], "n"),
+}
+
+
+@pytest.mark.parametrize("family", list(CAP_BOUNDARY))
+def test_enum_cap_boundary(family, capsys):
+    at_cap, over_cap, label = CAP_BOUNDARY[family]
+    assert main(["enum", family, *at_cap]) == 0
+    capsys.readouterr()
+    assert main(["enum", family, *over_cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {label}=27 exceeds the cap 26; pass --force to override\n"
+    assert main(["enum", family, *over_cap, "--force"]) == 0
+
+
 def test_enum_options_follow_the_family(tmp_path, capsys):
     target = tmp_path / "plc.txt"
     for argv in (["enum", "--json", "balanced", "3", "2"], ["enum", "--output", str(target), "plc", "3"]):
