@@ -8,8 +8,10 @@ hashes, for each, the argv, the exit code, stdout and stderr:
     check    each of the 8 properties on every word of 1 to 7 letters
     enum     balanced A B for A+B <= 20, plc|farey|mf|mab N --force for
              N <= 40
-    count    plain, --audit and --json for 0 <= A, B <= 30, and --oracle
-             for A+B <= 14
+    count    plain, --audit and --json for 0 <= A, B <= 30; --oracle,
+             --oracle --json and --oracle --audit for A+B <= 14; and
+             --oracle at the cap edge, 10 10 and 19 1 (A+B = 20) and
+             11 10 (exit 2)
     render   a fixed list of words, ascii and svg, with and without --bar
              and --segment
     errors   the exit-2 inputs that README fixes
@@ -68,7 +70,8 @@ def commands() -> list[list[str]]:
         for flag in ([], ["--audit"], ["--json"]):
             out.append(["count", str(a), str(b), *flag])
         if a + b <= 14:
-            out.append(["count", str(a), str(b), "--oracle"])
+            for flag in ([], ["--json"], ["--audit"]):
+                out.append(["count", str(a), str(b), "--oracle", *flag])
     for word in RENDER_WORDS:
         for fmt, bar, segment in itertools.product(("ascii", "svg"), ([], ["--bar"]), ([], ["--segment"])):
             out.append(["render", word, "--format", fmt, *bar, *segment])
@@ -80,6 +83,8 @@ def commands() -> list[list[str]]:
         ["enum", "mf", "27"],
         ["enum", "mab", "27"],
         ["enum", "farey", "27"],
+        ["count", "10", "10", "--oracle"],
+        ["count", "19", "1", "--oracle"],
         ["count", "11", "10", "--oracle"],
         ["enum", "--json", "plc", "5"],
     ]

@@ -13,9 +13,11 @@ from balwords.counting import brute_count_balanced, count_balanced
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", type=int, default=10, help="largest coordinate (default 10)")
+    parser.add_argument("--max", type=int, default=10, help="largest coordinate, at least 1 (default 10)")
     parser.add_argument("--verify", action="store_true", help="cross-check against enumeration")
     args = parser.parse_args()
+    if args.max < 1:
+        parser.error(f"--max must be at least 1, got {args.max}")
 
     width = len(str(count_balanced(args.max, args.max))) + 1
     header = " b\\a " + "".join(f"{a:>{width}}" for a in range(1, args.max + 1))

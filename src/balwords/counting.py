@@ -225,64 +225,43 @@ def count_balanced(a: int, b: int) -> int:
 def brute_balanced_words(a: int, b: int) -> list[str]:
     """Oracle for enumerate_balanced: all balanced words with Parikh vector (a, b), sorted.
 
-    Depth-first search over extensions that never consults the term list;
-    a prefix that is not balanced is pruned, which is complete because
-    balance is a factorial property.  The running min/max ones-count per
-    factor length is updated incrementally with the appended letter and
-    undone on backtrack.
+    Breadth-first pass over word lengths that never consults the term list.
+    Each word of a level carries lo and hi, where lo[k-1] and hi[k-1] are
+    the least and greatest ones-counts of its length-k factors.  Appending
+    a letter adds one new factor of each length, a suffix; one walk back
+    through the word gives their ones-counts, and the extension is dropped
+    as soon as some length spreads by more than one.  Dropping unbalanced prefixes
+    is complete because balance is a factorial property, and each sorted
+    level is extended by 0 before 1, so every level stays sorted.
     """
     if a < 0 or b < 0:
         raise ValueError("need a,b >= 0")
-    n = a + b
-    ones = [0] * (n + 1)
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    word: list[str] = []
-    out: list[str] = []
-
-    def push(c: str) -> list[tuple[int, int, int]] | None:
-        m = len(word) + 1
-        ones[m] = ones[m - 1] + (c == "1")
-        word.append(c)
-        journal: list[tuple[int, int, int]] = []
-        for k in range(1, m + 1):
-            h = ones[m] - ones[m - k]
-            if k == m:
-                journal.append((k, lo[k], hi[k]))
-                lo[k] = hi[k] = h
-            elif h < hi[k] - 1 or h > lo[k] + 1:
-                undo(journal)
-                return None
-            elif h < lo[k]:
-                journal.append((k, lo[k], hi[k]))
-                lo[k] = h
-            elif h > hi[k]:
-                journal.append((k, lo[k], hi[k]))
-                hi[k] = h
-        return journal
-
-    def undo(journal: list[tuple[int, int, int]]) -> None:
-        word.pop()
-        for k, l, h in reversed(journal):
-            lo[k], hi[k] = l, h
-
-    def walk(zeros_used: int, ones_used: int) -> None:
-        if len(word) == n:
-            out.append("".join(word))
-            return
-        for c in "01":
-            if c == "0" and zeros_used == a:
-                continue
-            if c == "1" and ones_used == b:
-                continue
-            journal = push(c)
-            if journal is None:
-                continue
-            walk(zeros_used + (c == "0"), ones_used + (c == "1"))
-            undo(journal)
-
-    walk(0, 0)
-    return out
+    # lo and hi are two lists of ints rather than one list of (lo, hi)
+    # tuples: each new tuple is one more object that the cyclic garbage
+    # collector tracks, so a tuple per length per word sets off gen-0
+    # collections that the int lists do not.
+    level: list[tuple[str, list[int], list[int]]] = [("", [], [])]
+    for m in range(a + b):
+        grown = []
+        for x, lo, hi in level:
+            ones = hi[-1] if m else 0  # the one length-m factor is x itself
+            for c, h, room in (("0", 0, m - ones < a), ("1", 1, ones < b)):
+                if not room:
+                    continue
+                # h runs over the ones-counts of the suffixes of x + c.
+                new_lo, new_hi = [], []
+                for letter, l, u in zip(reversed(x), lo, hi):
+                    if h < u - 1 or h > l + 1:
+                        break
+                    new_lo.append(l if l < h else h)
+                    new_hi.append(u if u > h else h)
+                    h += letter == "1"
+                else:
+                    new_lo.append(h)
+                    new_hi.append(h)
+                    grown.append((x + c, new_lo, new_hi))
+        level = grown
+    return [x for x, _, _ in level]
 
 
 def brute_count_balanced(a: int, b: int, cap: int = 20) -> int:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     FactorClass,
     all_words,
+    euler_phi,
     factor_classes,
     is_bispecial,
     is_left_special,
@@ -359,8 +360,13 @@ def test_enumerate_balanced_matches_filtered_enumeration():
 def test_enumerate_balanced_matches_search_oracle():
     # The oracle searches all words and never consults the term list.
     for n in range(0, 23):
+        total = 0
         for a in range(0, n + 1):
-            assert enumerate_balanced(a, n - a) == brute_balanced_words(a, n - a)
+            found = brute_balanced_words(a, n - a)
+            assert enumerate_balanced(a, n - a) == found
+            total += len(found)
+        # Mignosi: 1 + sum over k <= n of (n-k+1) phi(k) balanced words of length n.
+        assert total == 1 + sum((n - k + 1) * euler_phi(k) for k in range(1, n + 1))
 
 
 def test_enumerate_balanced_matches_the_all_offsets_scan():

@@ -10,6 +10,7 @@ from conftest import euler_phi
 
 import balwords
 from balwords.cli import main
+from balwords.counting import count_balanced
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,6 +132,18 @@ def test_count_oracle_flag(capsys):
     assert code == 0
     assert out == "formula=12 oracle=12 ok\n"
     assert main(["count", "15", "10", "--oracle"]) == 2
+
+
+def test_count_oracle_disagreement_exits_1(capsys, monkeypatch):
+    code, out = run(["count", "5", "3", "--oracle", "--json"], capsys)
+    payload = json.loads(out)
+    assert (code, payload["oracle"], payload["agrees"]) == (0, 12, True)
+    # The CLI calls the oracle through the module, so patching it there reaches it.
+    monkeypatch.setattr(balwords.counting, "brute_count_balanced", lambda a, b, cap: count_balanced(a, b) + 1)
+    assert run(["count", "5", "3", "--oracle"], capsys) == (1, "formula=12 oracle=13 MISMATCH\n")
+    code, out = run(["count", "5", "3", "--oracle", "--json"], capsys)
+    payload = json.loads(out)
+    assert (code, payload["total"], payload["oracle"], payload["agrees"]) == (1, 12, 13, False)
 
 
 def test_enum_commands(capsys):

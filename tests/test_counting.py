@@ -14,10 +14,12 @@ from conftest import (
     euler_phi,
     naive_count_balanced_report,
     naive_heavy_factors,
+    naive_is_balanced,
     periodic_window,
     prefix_height_lower,
     prefix_height_upper,
     term_ranges,
+    words_with_parikh,
 )
 
 from balwords.balance import enumerate_balanced
@@ -26,6 +28,7 @@ from balwords import counting
 from balwords.counting import (
     CountTerm,
     _floor_sum,
+    brute_balanced_words,
     brute_count_balanced,
     count_balanced,
     count_balanced_report,
@@ -275,6 +278,13 @@ def test_brute_count_balanced_cap():
     assert brute_count_balanced(0, 0) == 1
     with pytest.raises(ValueError):
         brute_count_balanced(15, 15)
+
+
+def test_brute_balanced_words_matches_the_definition():
+    for n in range(15):
+        for a in range(n + 1):
+            expected = [w for w in words_with_parikh(a, n - a) if naive_is_balanced(w)]
+            assert brute_balanced_words(a, n - a) == expected
 
 
 def test_report_reproduces_known_expansion():
