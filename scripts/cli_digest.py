@@ -5,7 +5,11 @@ Runs `balwords.cli.main(argv)` in process on a fixed list of commands and
 hashes, for each, the argv, the exit code, stdout and stderr:
 
     gen      lower|upper|central|matrix A B for 1 <= A, B <= 12
-    check    each of the 8 properties on every word of 1 to 7 letters
+    check    each of the 8 properties on every word of 1 to 7 letters;
+             balanced, circular, plc and mf on a conjugate of a
+             Christoffel word and a prefix of a longer one, for 64 and
+             256 letters and three slopes each, and on each of these
+             with its middle letter flipped
     enum     balanced A B for A+B <= 20, plc|farey|mf|mab N --force for
              N <= 40
     count    plain, --audit and --json for 0 <= A, B <= 30; --oracle,
@@ -38,13 +42,28 @@ import io
 import itertools
 import os
 
+from balwords.christoffel import lower_christoffel
 from balwords.cli import main as cli_main
 
 RENDER_WORDS = ["0", "1", "01", "0010010101", "00100100101", "1011010110", "0110", "000111"]
 PROPERTIES = ["balanced", "circular", "prefix-normal", "plc", "central", "lyndon", "mf", "in-bar"]
 COMMANDS = ["gen", "check", "count", "enum", "render"]
+LONG_PROPERTIES = ["balanced", "circular", "plc", "mf"]
 # Each enum family with one size argument too many.
 FAMILY_SIZES = {"balanced": 3, "plc": 2, "mf": 2, "mab": 2, "farey": 2}
+
+
+def long_words() -> list[str]:
+    """Christoffel conjugates and prefixes of 64 and 256 letters, then each
+    of them with its middle letter flipped."""
+    words = []
+    for n in (64, 256):
+        for ones in (n // 8 + 1, 3 * n // 8, n // 2):
+            c = lower_christoffel(n - ones, ones)
+            words.append(c[n // 3 :] + c[: n // 3])
+            words.append(lower_christoffel(3 * (n - ones) + 1, 3 * ones)[:n])
+    flip = {"0": "1", "1": "0"}
+    return words + [w[: len(w) // 2] + flip[w[len(w) // 2]] + w[len(w) // 2 + 1 :] for w in words]
 
 
 def commands() -> list[list[str]]:
@@ -60,6 +79,9 @@ def commands() -> list[list[str]]:
         for letters in itertools.product("01", repeat=n):
             for prop in PROPERTIES:
                 both(["check", prop, "".join(letters)])
+    for word in long_words():
+        for prop in LONG_PROPERTIES:
+            both(["check", prop, word])
     for a in range(21):
         for b in range(21 - a):
             both(["enum", "balanced", str(a), str(b)])

@@ -1,19 +1,23 @@
 """Balance predicates and enumeration of balanced binary words.
 
 A word is balanced when any two equal-length factors have ones-counts
-differing by at most 1.  Each predicate that can fail with a reason is one
-scan returning a named-tuple witness or None, and the predicate is
-``scan(w) is None``.  The balanced words of one Parikh vector are the
-windows of periodic lower Christoffel words named by the counting
-formula's term list, which is how they are enumerated.
+differing by at most 1.  Each property that can fail with a reason has one
+scan returning a named-tuple witness or None.  The balanced words of one
+Parikh vector are the windows of periodic lower Christoffel words named by
+the counting formula's term list, which is how they are enumerated.
 
-Two properties have a linear test through Christoffel words, and their
-quadratic witness scans run only once a word is known to fail it.  A word
-is circularly balanced iff it occurs in c + c, c the (possibly
-non-primitive) lower Christoffel word of its Parikh vector.  A word is a
-prefix of a lower Christoffel word iff the slopes r with h_i = floor(i*r)
-for every prefix height h_i form a nonempty interval, which one pass over
-the prefixes decides; such a word is prefix normal.
+Three properties have a linear test through Christoffel words.  A word is
+balanced iff its prefix of length p, p its smallest period, occurs in
+c + c, c the lower Christoffel word of that prefix's Parikh vector.  A
+word is circularly balanced iff it occurs in c + c, c the (possibly
+non-primitive) lower Christoffel word of its own Parikh vector.  A word is
+a prefix of a lower Christoffel word iff the slopes r with h_i =
+floor(i*r) for every prefix height h_i form a nonempty interval, which one
+pass over the prefixes decides; such a word is prefix normal.  The
+rotation and prefix-normal scans run only once a word has failed its
+linear test, and their predicates are ``scan(w) is None``.
+``unbalance_witness`` does not run the linear balance test first: it
+still scans a balanced word in full.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import NamedTuple
 
 from .christoffel import lower_christoffel
 from .counting import walk_terms
-from .words import parikh
+from .words import parikh, smallest_period
 
 
 class ImbalanceWitness(NamedTuple):
@@ -89,8 +93,37 @@ def _imbalance_length(w: str) -> int | None:
 
 
 def is_balanced(w: str) -> bool:
-    """Whether every two equal-length factors of w differ by at most one '1'."""
-    return _imbalance_length(w) is None
+    """Whether every two equal-length factors of w differ by at most one '1'.
+
+    Let p be the smallest period of w, x = w[:p], and c the lower
+    Christoffel word of parikh(x).  Then w is balanced iff x occurs in
+    c + c, that is iff x is a conjugate of c: one KMP pass and one
+    substring search, after the same 00-and-11 exit as the scan.
+
+    If: c's infinite power is the mechanical word of slope |c|_1/|c|,
+    whose length-k factors all have floor or ceil of k|c|_1/|c| ones, so
+    it is balanced.  x's infinite power is a suffix of it, and w is a
+    prefix of x's.
+
+    Only if, when |w| >= 2p - 1: x is primitive, since a root shorter than
+    x would be a smaller period of w.  Each conjugate of x is a factor of
+    x's infinite power that starts in its first p letters, so it is a
+    factor of w[:2p - 1] and hence balanced.  The Lyndon conjugate of x is
+    unbordered and balanced, so it is a Christoffel word (the balanced
+    unbordered words are exactly the Christoffel words); being Lyndon, it
+    is the primitive lower one of its Parikh vector, that is c.
+
+    When |w| < 2p - 1, only the conjugates of x that start in w's first
+    |w| - p + 1 letters are factors of w, and no proof is given here.
+    That case rests on evidence: the test agrees with the quadratic scan
+    ``_imbalance_length(w) is None`` on every word of at most 24 letters.
+    """
+    if len(w) < 2:
+        return True
+    if "00" in w and "11" in w:
+        return False
+    x = w[: smallest_period(w)]
+    return x in lower_christoffel(*parikh(x)) * 2
 
 
 def unbalance_witness(w: str) -> ImbalanceWitness | None:

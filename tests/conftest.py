@@ -17,10 +17,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from hypothesis import strategies as st
+
 from balwords.balance import (
     ImbalanceWitness,
     PrefixNormalWitness,
     RotationWitness,
+    _imbalance_length,
     _ones_prefix,
     is_balanced,
 )
@@ -99,6 +102,25 @@ def naive_is_balanced(w: str) -> bool:
     return True
 
 
+def scan_is_balanced(w: str) -> bool:
+    """Balance by the quadratic scan for two factors two ones apart, which
+    is independent of the smallest-period test behind ``is_balanced``."""
+    return _imbalance_length(w) is None
+
+
+@st.composite
+def mechanical_words(draw, max_len: int = 300):
+    """(word, height) for the mechanical word s(i) = floor(((i+1)P + t)/Q)
+    - floor((iP + t)/Q), 0 <= i < n, with 0 <= P <= Q: it is balanced and
+    has floor((nP + t)/Q) - floor(t/Q) ones."""
+    q = draw(st.integers(1, max_len))
+    p = draw(st.integers(0, q))
+    t = draw(st.integers(0, 2 * q))
+    n = draw(st.integers(0, max_len))
+    word = "".join(str(((i + 1) * p + t) // q - (i * p + t) // q) for i in range(n))
+    return word, (n * p + t) // q - t // q
+
+
 def naive_smallest_period(w: str) -> int:
     """Letter-by-letter period scan."""
     n = len(w)
@@ -126,7 +148,7 @@ def naive_rotation_witness(w: str) -> RotationWitness | None:
     """The first unbalanced rotation of w, trying every rotation in order."""
     for offset in range(len(w)):
         rotation = w[offset:] + w[:offset]
-        if not is_balanced(rotation):
+        if not scan_is_balanced(rotation):
             return RotationWitness(rotation, offset)
     return None
 
@@ -159,7 +181,7 @@ def naive_is_central(w: str) -> bool:
 def naive_is_minimal_forbidden(w: str) -> bool:
     """Unbalanced while both maximal proper factors are balanced; balance is
     factorial, so that makes every proper factor balanced."""
-    return not is_balanced(w) and is_balanced(w[:-1]) and is_balanced(w[1:])
+    return not scan_is_balanced(w) and scan_is_balanced(w[:-1]) and scan_is_balanced(w[1:])
 
 
 def naive_is_lyndon(w: str) -> bool:

@@ -17,6 +17,7 @@ from conftest import (
     is_right_special,
     is_strictly_bispecial,
     max_balanced_lyndon,
+    mechanical_words,
     naive_enumerate_balanced,
     naive_is_balanced,
     naive_is_plc,
@@ -24,6 +25,7 @@ from conftest import (
     naive_prefix_normal_witness,
     naive_rotation_witness,
     naive_unbalance_witness,
+    scan_is_balanced,
     words_with_parikh,
 )
 
@@ -51,14 +53,42 @@ binary_words = st.text(alphabet="01", max_size=18)
 def test_is_balanced_known_words():
     assert is_balanced("00100101")
     assert not is_balanced("000101")
-    assert is_balanced("")
-    assert is_balanced("0")
     assert is_balanced("0110")
+    for w in ("", "0", "1", "01", "10", "00000", "1111111"):
+        assert is_balanced(w) and scan_is_balanced(w)
+    # A non-primitive conjugate: its smallest-period prefix is a conjugate
+    # of the primitive root 001, not of c = 001001.
+    w = lower_christoffel(4, 2)[2:] + lower_christoffel(4, 2)[:2]
+    assert w == "100100"
+    assert is_balanced(w)
+    assert not is_balanced("0010011")  # 00 and 11: the early exit
+    # No 11, so the c + c search decides: x = 000101 has Parikh vector
+    # (4, 2), whose lower Christoffel word 001001 is not primitive.
+    assert not is_balanced("0001010") and not scan_is_balanced("0001010")
 
 
 def test_is_balanced_matches_definition_exhaustively():
     for w in all_words(14):
         assert is_balanced(w) == naive_is_balanced(w)
+
+
+def test_is_balanced_matches_the_scan_exhaustively():
+    for w in all_words(16):
+        assert is_balanced(w) == scan_is_balanced(w)
+
+
+def test_is_balanced_at_scale():
+    # 100,000 letters: one KMP pass and one substring search per call.
+    c = lower_christoffel(61803, 38197)
+    w = c[40000:] + c[:40000]
+    assert is_balanced(w)
+    # Turning a 1 into a 0 makes a run of 0s too long, and no 11 appears,
+    # so the 00-and-11 exit does not decide it.
+    i = w.index("1", 50000)
+    flipped = w[:i] + "0" + w[i + 1 :]
+    assert "11" not in flipped
+    assert not is_balanced(flipped)
+    assert not scan_is_balanced(flipped)
 
 
 @given(binary_words)
@@ -109,6 +139,19 @@ def test_unbalance_witness_matches_the_all_lengths_search(w):
     assert unbalance_witness(w) == naive_unbalance_witness(w)
 
 
+@given(flipped_christoffel_words(300))
+def test_is_balanced_matches_the_scan_on_flipped_christoffel_words(w):
+    assert is_balanced(w) == scan_is_balanced(w)
+
+
+@given(mechanical_words())
+def test_mechanical_words_are_balanced(drawn):
+    w, height = drawn
+    assert w.count("1") == height
+    assert is_balanced(w)
+    assert scan_is_balanced(w)
+
+
 def test_unbalance_witness_prefers_the_shortest_palindrome():
     # No 11 factor, so the empty palindrome cannot witness; the next one can.
     w = "0001010"
@@ -144,6 +187,20 @@ def test_rotation_witness_matches_the_rotation_loop_exhaustively():
 @given(flipped_christoffel_words(120))
 def test_rotation_witness_matches_the_rotation_loop(w):
     assert rotation_witness(w) == naive_rotation_witness(w)
+
+
+def test_rotation_witness_rejects_at_scale():
+    # Balanced but not circularly balanced: 615 balanced rotations are
+    # tried before the first unbalanced one.
+    w = lower_christoffel(1000, 1003)[:-613]
+    assert len(w) == 1390
+    found = rotation_witness(w)
+    assert found.offset == 615
+    assert found.rotation == w[615:] + w[:615]
+    assert not scan_is_balanced(found.rotation)
+    # Rotations 0..614 are the factors of length 1390 of w + w[:614], and
+    # balance is factorial, so one scan of that word covers them all.
+    assert scan_is_balanced(w + w[:614])
 
 
 def test_circular_balance_at_scale():
