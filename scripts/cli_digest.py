@@ -6,10 +6,10 @@ hashes, for each, the argv, the exit code, stdout and stderr:
 
     gen      lower|upper|central|matrix A B for 1 <= A, B <= 12
     check    each of the 8 properties on every word of 1 to 7 letters;
-             balanced, circular, plc and mf on a conjugate of a
-             Christoffel word and a prefix of a longer one, for 64 and
-             256 letters and three slopes each, and on each of these
-             with its middle letter flipped
+             balanced, circular, prefix-normal, plc and mf on a
+             conjugate of a Christoffel word and a prefix of a longer
+             one, for 64, 256 and 1024 letters and three slopes each,
+             and on each of these with its middle letter flipped
     enum     balanced A B for A+B <= 20, plc|farey|mf|mab N --force for
              N <= 40
     count    plain, --audit and --json for 0 <= A, B <= 30; --oracle,
@@ -48,16 +48,16 @@ from balwords.cli import main as cli_main
 RENDER_WORDS = ["0", "1", "01", "0010010101", "00100100101", "1011010110", "0110", "000111"]
 PROPERTIES = ["balanced", "circular", "prefix-normal", "plc", "central", "lyndon", "mf", "in-bar"]
 COMMANDS = ["gen", "check", "count", "enum", "render"]
-LONG_PROPERTIES = ["balanced", "circular", "plc", "mf"]
+LONG_PROPERTIES = ["balanced", "circular", "prefix-normal", "plc", "mf"]
 # Each enum family with one size argument too many.
 FAMILY_SIZES = {"balanced": 3, "plc": 2, "mf": 2, "mab": 2, "farey": 2}
 
 
 def long_words() -> list[str]:
-    """Christoffel conjugates and prefixes of 64 and 256 letters, then each
-    of them with its middle letter flipped."""
+    """Christoffel conjugates and prefixes of 64, 256 and 1024 letters, then
+    each of them with its middle letter flipped."""
     words = []
-    for n in (64, 256):
+    for n in (64, 256, 1024):
         for ones in (n // 8 + 1, 3 * n // 8, n // 2):
             c = lower_christoffel(n - ones, ones)
             words.append(c[n // 3 :] + c[: n // 3])

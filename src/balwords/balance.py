@@ -6,16 +6,16 @@ scan returning a named-tuple witness or None.  The balanced words of one
 Parikh vector are the windows of periodic lower Christoffel words named by
 the counting formula's term list, which is how they are enumerated.
 
-Three properties have a linear test through Christoffel words.  A word is
-balanced iff its prefix of length p, p its smallest period, occurs in
-c + c, c the lower Christoffel word of that prefix's Parikh vector.  A
-word is circularly balanced iff it occurs in c + c, c the (possibly
-non-primitive) lower Christoffel word of its own Parikh vector.  A word is
-a prefix of a lower Christoffel word iff the slopes r with h_i =
-floor(i*r) for every prefix height h_i form a nonempty interval, which one
-pass over the prefixes decides; such a word is prefix normal.  The
-rotation and prefix-normal scans run only once a word has failed its
-linear test, and their predicates are ``scan(w) is None``.
+Three properties have a linear test.  Balance is decided by run-length
+derivation: once one letter is isolated, the runs of the other between
+its occurrences must take two consecutive lengths, and the word is
+balanced iff the word of its run kinds is, which is at most about half as
+long.  A word is circularly balanced iff it occurs in c + c, c the
+(possibly non-primitive) lower Christoffel word of its own Parikh vector.
+A word 0u is a prefix of a lower Christoffel word iff 0u and 1u are both
+balanced; such a word is prefix normal.  The rotation and prefix-normal
+scans run only once a word has failed its linear test, and their
+predicates are ``scan(w) is None``.
 ``unbalance_witness`` does not run the linear balance test first: it
 still scans a balanced word in full.
 """
@@ -26,7 +26,10 @@ from typing import NamedTuple
 
 from .christoffel import lower_christoffel
 from .counting import walk_terms
-from .words import parikh, smallest_period
+from .words import parikh
+
+_EXCHANGE = str.maketrans("01", "10")
+_KINDS = str.maketrans("ab", "01")
 
 
 class ImbalanceWitness(NamedTuple):
@@ -95,35 +98,61 @@ def _imbalance_length(w: str) -> int | None:
 def is_balanced(w: str) -> bool:
     """Whether every two equal-length factors of w differ by at most one '1'.
 
-    Let p be the smallest period of w, x = w[:p], and c the lower
-    Christoffel word of parikh(x).  Then w is balanced iff x occurs in
-    c + c, that is iff x is a conjugate of c: one KMP pass and one
-    substring search, after the same 00-and-11 exit as the scan.
+    Decided by run-length derivation (Wu, "On the chain code of a line",
+    IEEE PAMI 1982; Lothaire, *Algebraic Combinatorics on Words*, 2002,
+    ch. 2), each round a few ``str`` passes.  A word with both 00 and 11
+    is unbalanced, and exchanging the letters keeps balance, so after at
+    most one exchange every 1 is isolated.  A word with at most one 1 is
+    then balanced.  Otherwise w = 0^h t 0^e with t = 1 0^r_1 1 ... 1 0^r_m 1
+    and every r_i >= 1.
 
-    If: c's infinite power is the mechanical word of slope |c|_1/|c|,
-    whose length-k factors all have floor or ceil of k|c|_1/|c| ones, so
-    it is balanced.  x's infinite power is a suffix of it, and w is a
-    prefix of x's.
+    Runs.  If w is balanced and k is its shortest interior run, every
+    interior run is k or k+1 and h, e <= k+1: otherwise 0^(k+2) and
+    1 0^k 1 are two factors of equal length two 1s apart.  r_1 is k or
+    k+1, so k is r_1 - 1 when a run of r_1 - 1 occurs and r_1 otherwise,
+    and k >= 1.  The "if" below holds for any k >= 1, so a wrong k only
+    rejects a word that is unbalanced anyway.  Let sigma(a) = 1 0^k and
+    sigma(b) = 1 0^(k+1).  The two ``replace`` calls read t as
+    sigma(u) 1, and a 0 left over means a run outside {k, k+1}.  Let u'
+    be u with a b put before it when h = k+1 and after it when e = k+1.
+    w is balanced iff u' is, and u' with a, b read as 0, 1 is the next
+    round's word.
 
-    Only if, when |w| >= 2p - 1: x is primitive, since a root shorter than
-    x would be a smaller period of w.  Each conjugate of x is a factor of
-    x's infinite power that starts in its first p letters, so it is a
-    factor of w[:2p - 1] and hence balanced.  The Lyndon conjugate of x is
-    unbordered and balanced, so it is a Christoffel word (the balanced
-    unbordered words are exactly the Christoffel words); being Lyndon, it
-    is the primitive lower one of its Parikh vector, that is c.
+    If: a finite balanced word is a factor of a Sturmian word, which is
+    recurrent, so u' extends to a balanced x u' y.  sigma is G~^k E G,
+    with E the exchange, G: 0 -> 0, 1 -> 01 and G~: 0 -> 0, 1 -> 10, so
+    it is a Sturmian morphism and sigma(x u' y) is balanced.  w is a
+    factor of it: 0^h is a suffix of sigma(x) when h <= k and of sigma(b)
+    when h = k+1, and 1 0^e is a prefix of sigma(y) when e <= k and is
+    sigma(b) when e = k+1.  So an end of length at most k is dropped and
+    an end of k+1 is a forced b.
 
-    When |w| < 2p - 1, only the conjugates of x that start in w's first
-    |w| - p + 1 letters are factors of w, and no proof is given here.
-    That case rests on evidence: the test agrees with the quadratic scan
-    ``_imbalance_length(w) is None`` on every word of at most 24 letters.
+    Only if: if u' is unbalanced, it has factors a v a and b v b.  Then
+    1 0^k sigma(v) 1 0^k 1 and 0^(k+1) sigma(v) 1 0^(k+1), of equal
+    length and two 1s apart, are factors of w.  The first is sigma(a v a)
+    and the 1 that starts the next image, or t's last 1, and a occurs
+    only in u.  The second is sigma(b v b) without its first letter, and
+    a b added at the head or the tail stands for 0^h or 1 0^e in w.
+
+    Each letter of u' stands for at least k+1 >= 2 letters of w, so
+    there are O(log |w|) rounds and O(|w|) letters passed in all.
     """
-    if len(w) < 2:
-        return True
-    if "00" in w and "11" in w:
-        return False
-    x = w[: smallest_period(w)]
-    return x in lower_christoffel(*parikh(x)) * 2
+    while True:
+        if "11" in w:
+            if "00" in w:
+                return False
+            w = w.translate(_EXCHANGE)
+        first, last = w.find("1"), w.rfind("1")
+        if first == last:
+            return True
+        t = w[first : last + 1]
+        head, tail = first, len(w) - 1 - last
+        r1 = t.find("1", 1) - 1
+        k = r1 - 1 if "1" + "0" * (r1 - 1) + "1" in t else r1
+        kinds = t.replace("1" + "0" * (k + 1), "b").replace("1" + "0" * k, "a")
+        if max(head, tail) > k + 1 or "0" in kinds:
+            return False
+        w = "1" * (head == k + 1) + kinds[:-1].translate(_KINDS) + "1" * (tail == k + 1)
 
 
 def unbalance_witness(w: str) -> ImbalanceWitness | None:
@@ -175,26 +204,16 @@ def is_circularly_balanced(w: str) -> bool:
 def is_christoffel_prefix(w: str) -> bool:
     """Whether w is a prefix of a (possibly non-primitive) lower Christoffel word.
 
-    These are the words that are both balanced and prefix normal.  With h_i
-    the number of ones in the length-i prefix, they are the words for which
-    the slopes r with h_i = floor(i*r) for every i, the interval
-    [max h_i/i, min (h_i+1)/i) over 1 <= i <= |w|, is nonempty.  One pass
-    keeps both extremes as fractions, compares them by cross-multiplication
-    and stops at the first prefix that empties the interval.
+    These are the words that are both balanced and prefix normal.  A word
+    with no 0 is a power of 1, the word of (0, 1).  Otherwise write w = 0u,
+    since a word that starts with 1 and has a 0 is not prefix normal.  The
+    prefixes of lower Christoffel words are those of the lower mechanical
+    words s_(alpha,0) = 0 c_alpha, c_alpha the characteristic word of
+    slope alpha, and the prefixes of characteristic words are exactly the
+    left special balanced words (Lothaire, 2002, ch. 2).  So w is one iff
+    u is left special, that is iff 0u and 1u are both balanced.
     """
-    lo_num, lo_den = 0, 1  # max h_i/i so far
-    hi_num, hi_den = 1, 0  # min (h_i+1)/i so far, starting at infinity
-    h = 0
-    for i, c in enumerate(w, 1):
-        if c == "1":
-            h += 1
-        if h * lo_den > lo_num * i:
-            lo_num, lo_den = h, i
-        if (h + 1) * hi_den < hi_num * i:
-            hi_num, hi_den = h + 1, i
-        if lo_num * hi_den >= hi_num * lo_den:
-            return False
-    return True
+    return "0" not in w or (w[0] == "0" and is_balanced("1" + w[1:]) and is_balanced(w))
 
 
 def prefix_normal_witness(w: str) -> PrefixNormalWitness | None:

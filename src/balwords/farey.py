@@ -1,18 +1,18 @@
 """Prefixes of lower Christoffel words and the Farey correspondence.
 
 The prefixes of lower Christoffel words (PLC) are exactly the words that
-are both balanced and prefix normal.  ``is_plc`` decides this in one pass:
-w is PLC iff max h_i/i < min (h_i+1)/i over its prefix heights h_i, that
-is iff some slope r has h_i = floor(i*r) for every prefix
-(``balance.is_christoffel_prefix``).  The length-n ones, in lexicographic
-order, are the length-n prefixes of the powers of the primitive lower
-Christoffel words of the Farey fractions of order n, in increasing order
-(Berstel, Lauve, Reutenauer, Saliola 2008); the word of p/q has root
-ones(root)/|root| = p/q.  The enumeration walks the Christoffel tree
-(``christoffel._christoffel_tree``) and the Farey sequence is walked by its
-next-term recurrence (``christoffel._farey_walk``); both walks live in
-``christoffel``, and the bijection checks the two independent walks
-against each other.
+are both balanced and prefix normal.  ``is_plc`` decides this by two
+balance tests (``balance.is_christoffel_prefix``): a word with a 0 is PLC
+iff it is 0u with 0u and 1u both balanced, that is iff u is a left
+special balanced word, a prefix of a characteristic word.  The length-n
+ones, in lexicographic order, are the length-n prefixes of the powers of
+the primitive lower Christoffel words of the Farey fractions of order n,
+in increasing order (Berstel, Lauve, Reutenauer, Saliola 2008); the word
+of p/q has root ones(root)/|root| = p/q.  The enumeration walks the
+Christoffel tree (``christoffel._christoffel_tree``) and the Farey
+sequence is walked by its next-term recurrence
+(``christoffel._farey_walk``); both walks live in ``christoffel``, and the
+bijection checks the two independent walks against each other.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 The oracles here deliberately re-derive everything from first principles
 (definition-level scans, full enumeration) so they stay independent of
-the implementations they check.  The window and factor oracles for the
-counting formulas build on lower_christoffel, whose own oracles are the
-letter formula naive_lower_christoffel and lower_christoffel_arithmetic.
+the implementations they check.  Two linear oracles, ``cc_is_balanced``
+and ``slope_is_christoffel_prefix``, reach the long words that the
+quadratic scans cannot, by methods other than the package's run-length
+derivation.  The window and factor oracles for the counting formulas
+build on lower_christoffel, whose own oracles are the letter formula
+naive_lower_christoffel and lower_christoffel_arithmetic.
 The structural predicates (periods and borders, special factors, factor
 classes, central splits) are used by the tests to check the paper's
 claims; no runtime code needs them.
@@ -104,8 +107,64 @@ def naive_is_balanced(w: str) -> bool:
 
 def scan_is_balanced(w: str) -> bool:
     """Balance by the quadratic scan for two factors two ones apart, which
-    is independent of the smallest-period test behind ``is_balanced``."""
+    is independent of the run-length derivation behind ``is_balanced``."""
     return _imbalance_length(w) is None
+
+
+def cc_is_balanced(w: str) -> bool:
+    """Balance by one KMP pass and one substring search: with p the smallest
+    period of w, x = w[:p] and c the lower Christoffel word of parikh(x),
+    w is balanced iff x occurs in c + c, that is iff x is a conjugate of c.
+    Linear, so it reaches the long words the scan cannot.
+
+    If: c's infinite power is the mechanical word of slope |c|_1/|c|,
+    whose length-k factors all have floor or ceil of k|c|_1/|c| ones, so
+    it is balanced.  x's infinite power is a suffix of it, and w is a
+    prefix of x's.
+
+    Only if, when |w| >= 2p - 1: x is primitive, since a root shorter than
+    x would be a smaller period of w.  Each conjugate of x is a factor of
+    x's infinite power that starts in its first p letters, so it is a
+    factor of w[:2p - 1] and hence balanced.  The Lyndon conjugate of x is
+    unbordered and balanced, so it is a Christoffel word (the balanced
+    unbordered words are exactly the Christoffel words); being Lyndon, it
+    is the primitive lower one of its Parikh vector, that is c.
+
+    When |w| < 2p - 1, only the conjugates of x that start in w's first
+    |w| - p + 1 letters are factors of w, and no proof is given here.
+    That case rests on evidence: the test agrees with the quadratic scan
+    on every word of at most 24 letters.
+    """
+    if len(w) < 2:
+        return True
+    if "00" in w and "11" in w:
+        return False
+    x = w[: smallest_period(w)]
+    return x in lower_christoffel(*parikh(x)) * 2
+
+
+def slope_is_christoffel_prefix(w: str) -> bool:
+    """Prefix of a lower Christoffel word by the slope interval, in one pass.
+
+    With h_i the number of ones in the length-i prefix, these are the
+    words for which the slopes r with h_i = floor(i*r) for every i, the
+    interval [max h_i/i, min (h_i+1)/i) over 1 <= i <= |w|, is nonempty.
+    Both extremes are kept as fractions, compared by cross-multiplication,
+    and the pass stops at the first prefix that empties the interval.
+    """
+    lo_num, lo_den = 0, 1  # max h_i/i so far
+    hi_num, hi_den = 1, 0  # min (h_i+1)/i so far, starting at infinity
+    h = 0
+    for i, c in enumerate(w, 1):
+        if c == "1":
+            h += 1
+        if h * lo_den > lo_num * i:
+            lo_num, lo_den = h, i
+        if (h + 1) * hi_den < hi_num * i:
+            hi_num, hi_den = h + 1, i
+        if lo_num * hi_den >= hi_num * lo_den:
+            return False
+    return True
 
 
 @st.composite

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     FactorClass,
     all_words,
+    cc_is_balanced,
     euler_phi,
     factor_classes,
     is_bispecial,
@@ -26,6 +27,7 @@ from conftest import (
     naive_rotation_witness,
     naive_unbalance_witness,
     scan_is_balanced,
+    slope_is_christoffel_prefix,
     words_with_parikh,
 )
 
@@ -56,15 +58,37 @@ def test_is_balanced_known_words():
     assert is_balanced("0110")
     for w in ("", "0", "1", "01", "10", "00000", "1111111"):
         assert is_balanced(w) and scan_is_balanced(w)
-    # A non-primitive conjugate: its smallest-period prefix is a conjugate
-    # of the primitive root 001, not of c = 001001.
+    # A non-primitive conjugate of 001001.
     w = lower_christoffel(4, 2)[2:] + lower_christoffel(4, 2)[:2]
     assert w == "100100"
     assert is_balanced(w)
     assert not is_balanced("0010011")  # 00 and 11: the early exit
-    # No 11, so the c + c search decides: x = 000101 has Parikh vector
-    # (4, 2), whose lower Christoffel word 001001 is not primitive.
-    assert not is_balanced("0001010") and not scan_is_balanced("0001010")
+    # Each branch of the run-length derivation, with 1s isolated, runs
+    # k or k+1 and sigma(a) = 1 0^k, sigma(b) = 1 0^(k+1).
+    accepted = [
+        "11011",  # 11 and no 00: exchanged to 00100, which has one 1
+        "1101101",  # exchanged to 0010010, whose end runs are dropped
+        "0001000",  # at most one 1 after no exchange
+        "0010100",  # k = 1, head and tail 00 = 0^(k+1): forced b's, 101
+        "00101",  # a forced head b only: 10
+        "10100",  # a forced tail b only: 01
+        "01010",  # end runs of 1 <= k are dropped: 0
+        "010010101",  # a head run of k = 1 is dropped: 100, where b100 fails
+        "100101",  # a run of r_1 - 1 = 1 occurs, so k = 1, not r_1 = 2
+        "0010010100",  # k = r_1 - 1 with both ends forced: 1101, exchanged
+    ]
+    rejected = [
+        "1010001",  # an interior run of k + 2 = 3 leaves a 0 in the kinds
+        "1001010001",  # three run lengths 2, 1, 3: k = 1 and a 0 left over
+        "0001010",  # an end run of k + 2 = 3
+        "10101001001",  # derives to 0011, which has 00 and 11
+        "00101001010101",  # the forced head b decides: b + abaaa = 101000
+        "10101010010100",  # its reversal: the forced tail b decides
+    ]
+    for w in accepted:
+        assert is_balanced(w) and scan_is_balanced(w), w
+    for w in rejected:
+        assert not is_balanced(w) and not scan_is_balanced(w), w
 
 
 def test_is_balanced_matches_definition_exhaustively():
@@ -78,7 +102,8 @@ def test_is_balanced_matches_the_scan_exhaustively():
 
 
 def test_is_balanced_at_scale():
-    # 100,000 letters: one KMP pass and one substring search per call.
+    # 100,000 letters: about log2(n) rounds of the derivation, each a few
+    # str passes.
     c = lower_christoffel(61803, 38197)
     w = c[40000:] + c[:40000]
     assert is_balanced(w)
@@ -150,6 +175,18 @@ def test_mechanical_words_are_balanced(drawn):
     assert w.count("1") == height
     assert is_balanced(w)
     assert scan_is_balanced(w)
+
+
+@given(mechanical_words(5000), st.lists(st.floats(0, 1, exclude_max=True), max_size=2))
+def test_is_balanced_matches_the_cc_oracle_on_long_mechanical_words(drawn, flips):
+    # Up to 5,000 letters, where the quadratic scan is too slow, each word
+    # with 0-2 letters flipped at the drawn fractions of its length.
+    letters = list(drawn[0])
+    for x in flips if letters else ():
+        i = int(x * len(letters))
+        letters[i] = "1" if letters[i] == "0" else "0"
+    w = "".join(letters)
+    assert is_balanced(w) == cc_is_balanced(w)
 
 
 def test_unbalance_witness_prefers_the_shortest_palindrome():
@@ -318,6 +355,37 @@ def test_christoffel_prefix_and_prefix_normal_witness_match_oracles_exhaustively
 def test_christoffel_prefix_and_prefix_normal_witness_match_oracles(w):
     assert is_christoffel_prefix(w) == naive_is_plc(w)
     assert prefix_normal_witness(w) == naive_prefix_normal_witness(w)
+
+
+@given(
+    st.integers(0, 5000),
+    st.integers(1, 5000),
+    st.floats(0, 1),
+    st.lists(st.floats(0, 1, exclude_max=True), max_size=2),
+)
+def test_is_christoffel_prefix_matches_the_slope_oracle_on_long_prefixes(a, b, cut, flips):
+    # A prefix of a Christoffel word of up to 10,000 letters, with 0-2
+    # letters flipped at the drawn fractions of its length.
+    c = lower_christoffel(a, b)
+    letters = list(c[: max(1, int(cut * len(c)))])
+    for x in flips:
+        i = int(x * len(letters))
+        letters[i] = "1" if letters[i] == "0" else "0"
+    w = "".join(letters)
+    assert is_christoffel_prefix(w) == slope_is_christoffel_prefix(w)
+
+
+def test_is_christoffel_prefix_at_scale():
+    # 100,000 letters of the word of (3*61803+1, 3*38197): two run-length
+    # derivations accept it, and each one-letter flip in the middle, 0 to 1
+    # or 1 to 0, is rejected, as the slope oracle agrees.
+    w = lower_christoffel(3 * 61803 + 1, 3 * 38197)[:100000]
+    assert is_christoffel_prefix(w) and slope_is_christoffel_prefix(w)
+    for letter in "01":
+        i = w.index(letter, 50000)
+        flipped = w[:i] + ("1" if letter == "0" else "0") + w[i + 1 :]
+        assert not is_christoffel_prefix(flipped)
+        assert not slope_is_christoffel_prefix(flipped)
 
 
 def test_in_digital_bar_known_cases():

@@ -48,8 +48,8 @@ def test_is_plc_matches_left_special_characterization():
 
 
 def test_is_plc_at_scale():
-    # A 10^5-letter prefix: one slope-interval pass, where the balance and
-    # prefix-normal scans would each be quadratic.
+    # A 10^5-letter prefix: two run-length derivations, where the balance
+    # and prefix-normal scans would each be quadratic.
     w = lower_christoffel(61803, 100000)[:100000]
     assert is_plc(w)
     assert prefix_normal_witness(w) is None
